@@ -14,15 +14,23 @@
  *    regardless of response times (no coordinated omission); reports
  *    achieved QPS and tail latency vs the offered rate.
  *
+ * Each client renders one request body up front and resends it, so
+ * all of a client's requests carry the same architectures. Every rank
+ * request after a client's first therefore hits the rank cache (the
+ * encoder is skipped, and the rank rows measure framing, queueing and
+ * the int8 heads), while every predict request runs the full fp64
+ * pass.
+ *
  * Every closed-loop scenario runs twice: once against the batched
  * server (256-arch / 1 ms micro-batches with quiet-poll natural
  * batching) and once against a request-at-a-time baseline
  * (batchMaxArchs=1, deadline 0). The summary reports the saturation
- * speedup — batched vs baseline archs/s on single-arch rank requests
- * at the highest client count — which CI gates at >= 3x.
+ * speedup — batched vs baseline archs/s on single-arch predict
+ * requests at the highest client count. --min-speedup=X exits 1 below
+ * X; CI passes --quick --min-speedup=1.2.
  *
- * --json[=FILE] writes BENCH_serve.json; --quick shrinks the grid
- * for CI smoke jobs.
+ * --json[=FILE] writes BENCH_serve.json with the obs::runMetaJson
+ * provenance block; --quick shrinks the grid for CI smoke jobs.
  */
 
 #include <arpa/inet.h>
@@ -495,8 +503,9 @@ main(int argc, char **argv)
 
     if (!jsonPath.empty()) {
         std::ofstream out(jsonPath, std::ios::trunc);
-        out << "{\n  \"bench\": \"serve\",\n  \"quick\": "
-            << (quick ? "true" : "false")
+        out << "{\n  \"bench\": \"serve\",\n"
+            << "  \"meta\": " << obs::runMetaJson("  ") << ",\n"
+            << "  \"quick\": " << (quick ? "true" : "false")
             << ",\n  \"hardware_threads\": "
             << std::thread::hardware_concurrency()
             << ",\n  \"saturation_clients\": " << satClients

@@ -1,26 +1,32 @@
 /**
  * @file
- * Runtime ISA dispatch macros for numeric hot loops.
+ * Runtime ISA dispatch for numeric hot loops.
  *
  * HWPR_TARGET_CLONES clones a function for AVX2+FMA-class hardware
  * (x86-64-v3) with an ifunc resolver picking the variant once at load
  * time; other machines run the portable default. One binary, no
  * baseline-ISA requirement. GCC only — clang's target_clones cannot
  * take arch= levels. (An x86-64-v4 clone was measured and rejected:
- * the strided-B AtB worker halves its throughput under 512-bit
- * codegen on the machines this was tuned on.)
+ * 512-bit codegen halved the throughput of the strided-B AtB GEMM
+ * worker that was cloned at the time.)
  *
- * HWPR_FORCE_INLINE marks helpers that must inline into each clone:
+ * HWPR_TARGET_AVX2_FMA marks explicit-intrinsic kernels (the GEMM
+ * register tiles in common/matrix.cc). They are compiled for AVX2+FMA
+ * alongside the portable code and called only when cpuHasAvx2Fma()
+ * says so. No ifunc is involved, so sanitized builds run them too.
+ *
+ * HWPR_FORCE_INLINE marks helpers that must inline into their caller:
  * left as standalone functions they would compile once for the
- * default ISA and every clone would call that scalar copy.
+ * default ISA and every clone would call that scalar copy, and an
+ * intrinsic tile would pass its accumulators through memory.
  *
  * Determinism contract: a cloned loop may contract multiply+add into
  * FMA, so its results can differ between ISA variants (machines) —
  * but never between runs, thread counts, or call sites on the same
- * machine, because one variant is chosen process-wide at load time.
- * Kernels whose results must match each other exactly (e.g. the tiled
- * and naive GEMMs in common/matrix.cc) must both be cloned so
- * contraction applies to identical accumulation chains in both.
+ * machine, because one variant is chosen process-wide. Kernels whose
+ * results must match each other exactly (e.g. the tiled and naive
+ * GEMMs in common/matrix.cc) must pick their variant with the same
+ * test so both compute identical accumulation chains.
  */
 
 #ifndef HWPR_COMMON_ISA_H
@@ -29,9 +35,8 @@
 /*
  * Sanitized builds get no clones: the ifunc resolver runs during
  * relocation processing, before the TSan/ASan runtime initializes,
- * and segfaults on startup (GCC 12 + glibc 2.36). Every kernel falls
- * back to the portable default, which keeps the tiled/naive pairs
- * consistent with each other.
+ * and segfaults on startup (GCC 12 + glibc 2.36). Cloned loops fall
+ * back to the portable default there.
  */
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
     !defined(__SANITIZE_THREAD__) && !defined(__SANITIZE_ADDRESS__)
@@ -41,10 +46,40 @@
 #define HWPR_TARGET_CLONES
 #endif
 
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+#define HWPR_AVX2_FMA_KERNELS 1
+#define HWPR_TARGET_AVX2_FMA __attribute__((target("avx2,fma")))
+#endif
+
 #if defined(__GNUC__)
 #define HWPR_FORCE_INLINE inline __attribute__((always_inline))
 #else
 #define HWPR_FORCE_INLINE inline
 #endif
+
+namespace hwpr
+{
+
+/**
+ * True when this process runs the HWPR_TARGET_AVX2_FMA kernels: the
+ * build has them and the CPU is x86-64-v3 (AVX2+FMA), the level the
+ * clones' resolver selects on. Evaluated once per process, in every
+ * build flavour.
+ */
+inline bool
+cpuHasAvx2Fma()
+{
+#ifdef HWPR_AVX2_FMA_KERNELS
+    static const bool yes = [] {
+        __builtin_cpu_init();
+        return __builtin_cpu_supports("x86-64-v3") != 0;
+    }();
+    return yes;
+#else
+    return false;
+#endif
+}
+
+} // namespace hwpr
 
 #endif // HWPR_COMMON_ISA_H

@@ -14,6 +14,11 @@
  * whole-row chunks whose layout depends only on the shape, so results
  * are also bit-identical at every thread count.
  *
+ * Where cpuHasAvx2Fma() (common/isa.h) holds, the tiles are explicit
+ * AVX2+FMA intrinsics and every chain step is one fused multiply-add;
+ * elsewhere portable tiles multiply, round and add. The naive kernels
+ * follow the same predicate, so tiled == naive on every machine.
+ *
  * The *Into variants write (or, with accumulate=true, add into) a
  * caller-provided output buffer so the training hot loop can reuse
  * arena-pooled matrices instead of allocating per call.
@@ -110,8 +115,10 @@ class Matrix
     /**
      * Naive serial reference kernels, kept as the determinism oracle
      * for the tiled paths above: same per-element ascending-k
-     * accumulation chains, no tiling, no threading. Tests assert the
-     * tiled kernels match these within 1e-12 on arbitrary shapes.
+     * accumulation chains, no tiling, no threading. The property
+     * suite (tests/prop/test_prop_matrix.cc) asserts the tiled
+     * kernels equal these bit for bit, and equal its own oracle bit
+     * for bit under the FMA kernels, within 1e-10 otherwise.
      */
     Matrix matmulNaive(const Matrix &o) const;
     Matrix transposedMatmulNaive(const Matrix &o) const;

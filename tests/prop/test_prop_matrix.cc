@@ -7,24 +7,34 @@
  * ascending-k accumulation chain per output element, seeded with the
  * existing output value when accumulating.
  *
+ * Shapes run from 1 to 20 per side, plus products past the pool
+ * fan-out threshold (>= 65536 multiply-adds, so parallel chunks meet
+ * the reference) and outputs wider than the 256-column cache block.
+ * Operands are dense, ReLU-sparse, or have all-zero rows, and
+ * accumulate seeds include -0.0.
+ *
  * Two comparison strengths, deliberately distinct:
- *  - Exact (==) where the contract promises bit-identity: tiled vs
- *    the shipped naive kernels (same translation unit, same FP
- *    contraction), Into vs the allocating entry points, and
- *    accumulate-onto-zero vs the plain product.
- *  - Within-epsilon against the oracle in this file: the compiler may
- *    contract a*b+c into fma differently across translation units, so
- *    an independent reimplementation can legitimately differ in the
- *    last ulp while still catching real indexing/tiling bugs.
+ *  - Bit for bit, sign of zero included, where the contract promises
+ *    identity: tiled vs the shipped naive kernels (one dispatch
+ *    predicate picks the chain step of both), Into vs the allocating
+ *    entry points, and accumulate-onto-zero vs the plain product.
+ *  - Against the oracle in this file: bit for bit when the AVX2+FMA
+ *    kernels run (cpuHasAvx2Fma(); the oracle then steps with
+ *    std::fma), within 1e-10 on the portable path, where a compiler
+ *    may contract a*b+c into fma differently across translation
+ *    units. Either strength catches real indexing/tiling bugs.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/isa.h"
 #include "common/matrix.h"
 #include "common/prop.h"
 
@@ -51,7 +61,8 @@ struct GemmCase
 /**
  * Independent reference: the documented accumulation order, nothing
  * else. Each output element is one scalar chain over ascending k,
- * starting from the existing output value when accumulating.
+ * starting from the existing output value when accumulating. Under
+ * the AVX2+FMA kernels every step is one fused multiply-add.
  */
 Matrix
 gemmOracle(const GemmCase &c)
@@ -95,7 +106,8 @@ gemmOracle(const GemmCase &c)
                     rhs = c.b(j, t);
                     break;
                 }
-                acc += lhs * rhs;
+                acc = cpuHasAvx2Fma() ? std::fma(lhs, rhs, acc)
+                                      : acc + lhs * rhs;
             }
             out(i, j) = acc;
         }
@@ -145,6 +157,13 @@ runNaive(const GemmCase &c)
     return {};
 }
 
+/** Element (i, t) of the logical m x kk left factor of @p c. */
+double &
+lhsAt(GemmCase &c, std::size_t i, std::size_t t)
+{
+    return c.op == Op::AtB ? c.a(t, i) : c.a(i, t);
+}
+
 prop::Gen<GemmCase>
 gemmGen()
 {
@@ -154,9 +173,25 @@ gemmGen()
         c.op = Op(rng.intIn(0, 2));
         c.into = rng.bernoulli(0.5);
         c.accumulate = c.into && rng.bernoulli(0.5);
-        const std::size_t m = std::size_t(rng.intIn(1, 20));
-        const std::size_t kk = std::size_t(rng.intIn(1, 20));
-        const std::size_t n = std::size_t(rng.intIn(1, 20));
+        // Mostly small shapes; one case in eight is at least 65536
+        // multiply-adds (the pool fan-out threshold, so whole-row
+        // chunks run on the pool), one in eight has more output
+        // columns than the 256-column cache block.
+        std::size_t m = 0, kk = 0, n = 0;
+        const int shape = rng.intIn(0, 7);
+        if (shape == 0) {
+            m = std::size_t(rng.intIn(18, 48));
+            kk = std::size_t(rng.intIn(48, 80));
+            n = std::size_t(rng.intIn(80, 140));
+        } else if (shape == 1) {
+            m = std::size_t(rng.intIn(1, 9));
+            kk = std::size_t(rng.intIn(1, 12));
+            n = std::size_t(rng.intIn(257, 300));
+        } else {
+            m = std::size_t(rng.intIn(1, 20));
+            kk = std::size_t(rng.intIn(1, 20));
+            n = std::size_t(rng.intIn(1, 20));
+        }
         // Mix exactly-representable grid values with full-precision
         // draws: the former make mismatches obvious, the latter catch
         // any reassociation of the accumulation chain.
@@ -182,6 +217,20 @@ gemmGen()
         for (Matrix *mat : {&c.a, &c.b, &c.out})
             for (double &v : mat->raw())
                 v = draw();
+        // Zero-heavy left factors: ReLU-sparse (about half the
+        // entries +0.0 or -0.0) or with all-zero rows. Accumulate
+        // seeds get -0.0 entries; a chain over zero terms must treat
+        // them alike in every kernel.
+        const int texture = rng.intIn(0, 2);
+        for (std::size_t i = 0; i < m; ++i) {
+            const bool zero_row = texture == 2 && rng.bernoulli(0.3);
+            for (std::size_t t = 0; t < kk; ++t)
+                if (zero_row || (texture == 1 && rng.bernoulli(0.5)))
+                    lhsAt(c, i, t) = rng.bernoulli(0.5) ? 0.0 : -0.0;
+        }
+        for (double &v : c.out.raw())
+            if (rng.bernoulli(0.2))
+                v = -0.0;
         return c;
     };
     g.shrink = [](const GemmCase &c) {
@@ -218,6 +267,10 @@ showGemm(const GemmCase &c)
     return msg.str();
 }
 
+/**
+ * Elementwise comparison; tol == 0 means bit for bit, so the sign of a
+ * zero must match too.
+ */
 std::optional<std::string>
 compareMats(const Matrix &got, const Matrix &want,
             const std::string &label, double tol)
@@ -227,7 +280,10 @@ compareMats(const Matrix &got, const Matrix &want,
     for (std::size_t i = 0; i < got.raw().size(); ++i) {
         const double g = got.raw()[i], w = want.raw()[i];
         const double bound = tol * std::max(1.0, std::fabs(w));
-        if (!(std::fabs(g - w) <= bound)) {
+        const bool same =
+            tol == 0.0 ? std::memcmp(&g, &w, sizeof g) == 0
+                       : std::fabs(g - w) <= bound;
+        if (!same) {
             std::ostringstream msg;
             msg << label << ": element " << i << " differs: got "
                 << prop::show(g) << ", oracle " << prop::show(w);
@@ -246,17 +302,27 @@ bitIdentical(const Matrix &got, const Matrix &want,
 
 } // namespace
 
+/**
+ * Oracle tolerance: none when the FMA kernels run (the oracle fuses
+ * the same steps); otherwise room for per-term contraction
+ * differences only (the accumulation order itself must match, or
+ * errors grow far past 1e-10 on adversarial magnitudes).
+ */
+double
+oracleTol()
+{
+    return cpuHasAvx2Fma() ? 0.0 : 1e-10;
+}
+
 TEST(PropMatrix, TiledGemmMatchesIndependentOracle)
 {
     // Cross-TU differential check: catches indexing, tiling and
-    // transpose bugs. Tolerance absorbs per-term fma contraction
-    // differences only (the accumulation order itself must match, or
-    // errors grow far past 1e-10 on adversarial magnitudes).
+    // transpose bugs.
     const auto r = prop::forAll<GemmCase>(
         prop::Config::fromEnv(0x6E4D4D01, 1200), gemmGen(), showGemm,
         [](const GemmCase &c) -> std::optional<std::string> {
             return compareMats(runTiled(c), gemmOracle(c), "tiled",
-                               1e-10);
+                               oracleTol());
         });
     EXPECT_TRUE(r.ok) << r.message;
 }
@@ -310,7 +376,7 @@ TEST(PropMatrix, AccumulateSeedsChainFromExistingOutput)
             acc.into = true;
             acc.accumulate = true;
             return compareMats(runTiled(acc), gemmOracle(acc),
-                               "accumulate", 1e-10);
+                               "accumulate", oracleTol());
         });
     EXPECT_TRUE(r.ok) << r.message;
 }
