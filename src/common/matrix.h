@@ -20,8 +20,8 @@
  * follow the same predicate, so tiled == naive on every machine.
  *
  * The *Into variants write (or, with accumulate=true, add into) a
- * caller-provided output buffer so the training hot loop can reuse
- * arena-pooled matrices instead of allocating per call.
+ * caller-provided output buffer, so gradients accumulate in place and
+ * inference reuses its scratch instead of allocating per call.
  */
 
 #ifndef HWPR_COMMON_MATRIX_H

@@ -190,9 +190,6 @@ DominanceSurrogate::train(
         cache = encoder_->buildCache(train_archs);
         val_cache = encoder_->buildCache(val_archs);
     }
-    nn::GraphArena arena;
-    if (fast)
-        arena.activate();
 
     auto pairLogits = [&](const nn::Tensor &table,
                           const std::vector<std::size_t> &pos_a,
@@ -247,8 +244,6 @@ DominanceSurrogate::train(
         }
         for (const auto &batch :
              makeBatches(pairs.size(), cfg.batchSize, rng_)) {
-            if (fast)
-                arena.reset();
             uniq.clear();
             pos_a.clear();
             pos_b.clear();
@@ -289,8 +284,6 @@ DominanceSurrogate::train(
             for (std::size_t i : uniq)
                 slot[i] = SIZE_MAX;
         }
-        if (fast)
-            arena.reset();
         const nn::Tensor vtab =
             fast ? encoder_->encodeCached(val_cache, val_all)
                  : encoder_->encode(val_archs);
@@ -314,8 +307,6 @@ DominanceSurrogate::train(
         }
     }
     restoreParams(params, best_params);
-    if (fast)
-        arena.deactivate();
 
     // Freeze the scalar-score anchors: an evenly strided subset of
     // the training set, encoded with the restored (best) weights.

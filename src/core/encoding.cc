@@ -158,7 +158,6 @@ ArchEncoder::buildCache(
     EncoderCache cache;
     cache.size = archs.size();
     if (usesAf()) {
-        // Plain (non-arena) matrix: the cache outlives training steps.
         cache.af = Matrix(archs.size(), nasbench::kNumArchFeatures);
         for (std::size_t i = 0; i < archs.size(); ++i) {
             const auto scaled = scaler_.apply(
@@ -208,8 +207,7 @@ ArchEncoder::encodeCached(const EncoderCache &cache,
     nn::Tensor out;
 
     if (usesAf()) {
-        Matrix af = nn::detail::newMatrix(
-            batch.size(), nasbench::kNumArchFeatures, false);
+        Matrix af(batch.size(), nasbench::kNumArchFeatures);
         for (std::size_t i = 0; i < batch.size(); ++i) {
             HWPR_ASSERT(batch[i] < cache.size, "cache index OOB");
             for (std::size_t j = 0; j < nasbench::kNumArchFeatures;
@@ -241,57 +239,8 @@ Matrix
 ArchEncoder::encodeBatch(
     std::span<const nasbench::Architecture> archs) const
 {
-    HWPR_CHECK(!archs.empty(), "empty encoding batch");
-    // Runs both inline and on pool workers (inference chunks); spans
-    // land in the recording thread's lane, which is exactly the
-    // attribution the trace should show.
-    HWPR_SPAN("surrogate.encode_batch",
-              {{"rows", double(archs.size())}});
-    static obs::Histogram &enc_hist = obs::Registry::global()
-        .histogram("surrogate.encode_batch.us");
-    obs::ScopedTimer enc_timer(enc_hist);
-    if (obs::metricsEnabled()) {
-        static obs::Counter &rows = obs::Registry::global().counter(
-            "surrogate.encode_batch.rows");
-        rows.add(archs.size());
-    }
-    const std::size_t n = archs.size();
-    Matrix out(n, dim_);
-    std::size_t col = 0;
-
-    if (usesAf()) {
-        for (std::size_t i = 0; i < n; ++i) {
-            const auto scaled = scaler_.apply(
-                nasbench::archFeatures(archs[i], dataset_));
-            for (std::size_t j = 0; j < scaled.size(); ++j)
-                out(i, col + j) = scaled[j];
-        }
-        col += nasbench::kNumArchFeatures;
-    }
-    if (usesLstm()) {
-        std::vector<std::vector<std::size_t>> seqs;
-        seqs.reserve(n);
-        for (const auto &a : archs)
-            seqs.push_back(nasbench::spaceFor(a.space).tokenize(a));
-        const Matrix enc = lstm_->encodeBatch(seqs);
-        for (std::size_t i = 0; i < n; ++i)
-            for (std::size_t j = 0; j < enc.cols(); ++j)
-                out(i, col + j) = enc(i, j);
-        col += lstm_->config().hidden;
-    }
-    if (usesGcn()) {
-        std::vector<nn::GraphInput> graphs;
-        graphs.reserve(n);
-        for (const auto &a : archs)
-            graphs.push_back(graphInput(a));
-        const Matrix enc = gcn_->encodeBatch(graphs);
-        for (std::size_t i = 0; i < n; ++i)
-            for (std::size_t j = 0; j < enc.cols(); ++j)
-                out(i, col + j) = enc(i, j);
-        col += gcn_->config().hidden;
-    }
-    HWPR_ASSERT(col == dim_, "encoding arena column mismatch");
-    return out;
+    nn::PredictScratch scratch;
+    return encodeBatchInto(archs, scratch);
 }
 
 const Matrix &
@@ -345,7 +294,7 @@ ArchEncoder::encodeBatchInto(
                 out(i, col + j) = enc(i, j);
         col += gcn_->config().hidden;
     }
-    HWPR_ASSERT(col == dim_, "encoding arena column mismatch");
+    HWPR_ASSERT(col == dim_, "encoding column mismatch");
     return out;
 }
 

@@ -116,9 +116,10 @@ class ArchEncoder : public nn::Module
 
     /**
      * Inference-only encoding on raw matrices: the whole batch is
-     * written into a single (n x dim) arena, with each sub-encoding
+     * written into a single (n x dim) matrix, with each sub-encoding
      * (AF / LSTM / GCN) filling its column span. No autodiff graph is
-     * recorded; matches encode() bit-for-bit.
+     * recorded; matches encode() bit-for-bit. Runs encodeBatchInto()
+     * on a scratch of its own.
      */
     Matrix encodeBatch(std::span<const nasbench::Architecture> archs) const;
 

@@ -220,10 +220,10 @@ HwPrNas::train(const std::vector<const nasbench::ArchRecord *> &train,
         val_all[i] = i;
     const std::vector<int> val_ranks = batch_ranks(val_all, val_pts);
 
-    // Fit-time fast paths: deterministic encoder inputs are computed
-    // once (encoding cache) and autodiff nodes/buffers are recycled
-    // across steps (graph arena). Both are bit-identical to the plain
-    // path; setTrainFastPath(false) switches it back on for tests.
+    // Fit-time fast path: deterministic encoder inputs are computed
+    // once (encoding cache), bit-identical to the plain path;
+    // setTrainFastPath(false) switches the plain path back on for
+    // tests.
     const bool fast = trainFastPath();
     EncoderCache acc_train_cache, lat_train_cache;
     EncoderCache acc_val_cache, lat_val_cache;
@@ -239,9 +239,6 @@ HwPrNas::train(const std::vector<const nasbench::ArchRecord *> &train,
         acc_val_cache = accEncoder_->buildCache(val_archs);
         lat_val_cache = latEncoder_->buildCache(val_archs);
     }
-    nn::GraphArena arena;
-    if (fast)
-        arena.activate();
 
     auto train_forward = [&](const std::vector<std::size_t> &batch,
                              bool training) {
@@ -275,9 +272,6 @@ HwPrNas::train(const std::vector<const nasbench::ArchRecord *> &train,
         double last_batch_loss = 0.0;
         for (const auto &batch :
              makeBatches(train_archs.size(), cfg.batchSize, rng_)) {
-            // Previous step's tensors are dead here: recycle them.
-            if (fast)
-                arena.reset();
             std::vector<double> acc_t, lat_t;
             acc_t.reserve(batch.size());
             lat_t.reserve(batch.size());
@@ -299,8 +293,6 @@ HwPrNas::train(const std::vector<const nasbench::ArchRecord *> &train,
                 last_batch_loss = loss.value()(0, 0);
         }
 
-        if (fast)
-            arena.reset();
         const Forward vf =
             fast ? forwardCached(acc_val_cache, lat_val_cache,
                                  val_all, head, false, rng_)
@@ -339,21 +331,24 @@ HwPrNas::train(const std::vector<const nasbench::ArchRecord *> &train,
              ++epoch) {
             for (const auto &batch : makeBatches(
                      train_archs.size(), cfg.batchSize, rng_)) {
-                if (fast)
-                    arena.reset();
                 const std::vector<int> ranks =
                     batch_ranks(batch, train_pts);
                 comb_opt.zeroGrad();
+                // The frozen branch outputs enter the combiner as a
+                // constant, so backward stops at the combiner.
                 const Forward f = train_forward(batch, false);
-                nn::Tensor loss =
-                    nn::listMleParetoLoss(f.score, ranks);
+                const nn::Tensor score = combiner_->forward(
+                    nn::Tensor::constant(
+                        Matrix::hconcat(f.accPred.value(),
+                                        f.latPred.value()),
+                        "frozen_branches"),
+                    false, rng_);
+                nn::Tensor loss = nn::listMleParetoLoss(score, ranks);
                 nn::backward(loss);
                 comb_opt.step();
             }
         }
     }
-    if (fast)
-        arena.deactivate();
     invalidateRankState();
     trained_ = true;
 }
@@ -513,9 +508,6 @@ HwPrNas::trainMultiPlatform(
         acc_val_cache = accEncoder_->buildCache(val_archs);
         lat_val_cache = latEncoder_->buildCache(val_archs);
     }
-    nn::GraphArena arena;
-    if (fast)
-        arena.activate();
 
     auto encode_train = [&](const std::vector<std::size_t> &batch) {
         if (fast)
@@ -545,8 +537,6 @@ HwPrNas::trainMultiPlatform(
         double last_batch_loss = 0.0;
         for (const auto &batch :
              makeBatches(train_archs.size(), cfg.batchSize, rng_)) {
-            if (fast)
-                arena.reset();
             std::vector<double> acc_t;
             std::vector<std::vector<double>> lat_t(platforms.size());
             for (std::size_t idx : batch) {
@@ -567,8 +557,6 @@ HwPrNas::trainMultiPlatform(
             if (obs::metricsEnabled())
                 last_batch_loss = loss.value()(0, 0);
         }
-        if (fast)
-            arena.reset();
         const auto [vacc_enc, vlat_enc] =
             fast ? std::make_pair(
                        accEncoder_->encodeCached(acc_val_cache,
@@ -601,8 +589,6 @@ HwPrNas::trainMultiPlatform(
         }
     }
     restoreParams(params, best_params);
-    if (fast)
-        arena.deactivate();
     invalidateRankState();
     trained_ = true;
 }

@@ -192,17 +192,14 @@ MetricPredictor::train(
     nn::CosineAnnealing schedule(cfg.lr,
                                  cfg.epochs * steps_per_epoch);
 
-    // Fit-time fast paths (encoding cache + graph arena), bit-identical
-    // to the plain path; see core/train_util.h.
+    // Fit-time fast path (encoding cache), bit-identical to the plain
+    // path; see core/train_util.h.
     const bool fast = trainFastPath();
     EncoderCache cache, val_cache;
     if (fast) {
         cache = encoder_->buildCache(train_archs);
         val_cache = encoder_->buildCache(val_archs);
     }
-    nn::GraphArena arena;
-    if (fast)
-        arena.activate();
 
     std::vector<std::size_t> val_all(val_archs.size());
     for (std::size_t i = 0; i < val_all.size(); ++i)
@@ -233,8 +230,6 @@ MetricPredictor::train(
         obs::ScopedTimer epoch_timer(epoch_hist);
         for (const auto &batch :
              makeBatches(train_archs.size(), cfg.batchSize, rng_)) {
-            if (fast)
-                arena.reset();
             std::vector<double> y;
             y.reserve(batch.size());
             for (std::size_t idx : batch)
@@ -266,8 +261,6 @@ MetricPredictor::train(
         }
 
         // Validation loss (same objective, no dropout).
-        if (fast)
-            arena.reset();
         const nn::Tensor vp =
             fast ? head_->forward(
                        encoder_->encodeCached(val_cache, val_all),
@@ -306,8 +299,6 @@ MetricPredictor::train(
         }
     }
     restoreParams(params, best_params);
-    if (fast)
-        arena.deactivate();
     invalidateRankState();
     trained_ = true;
 }

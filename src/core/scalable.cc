@@ -233,9 +233,6 @@ ScalableHwPrNas::train(
         cache = encoder_->buildCache(train_archs);
         val_cache = encoder_->buildCache(val_archs);
     }
-    nn::GraphArena arena;
-    if (fast)
-        arena.activate();
 
     auto train_forward = [&](const std::vector<std::size_t> &batch,
                              bool training) {
@@ -263,8 +260,6 @@ ScalableHwPrNas::train(
         obs::ScopedTimer epoch_timer(epoch_hist);
         for (const auto &batch :
              makeBatches(train_archs.size(), cfg.batchSize, rng_)) {
-            if (fast)
-                arena.reset();
             std::vector<pareto::Point> sub;
             sub.reserve(batch.size());
             for (std::size_t idx : batch)
@@ -279,8 +274,6 @@ ScalableHwPrNas::train(
             nn::backward(loss);
             opt.step();
         }
-        if (fast)
-            arena.reset();
         const nn::Tensor vp =
             fast ? mlp_->forward(
                        encoder_->encodeCached(val_cache, val_all),
@@ -303,8 +296,6 @@ ScalableHwPrNas::train(
         }
     }
     restoreParams(params, best_params);
-    if (fast)
-        arena.deactivate();
     invalidateRankState();
     trained_ = true;
     energyAware_ = false;
@@ -332,40 +323,35 @@ ScalableHwPrNas::addEnergyObjective(
     EncoderCache cache;
     if (fast)
         cache = encoder_->buildCache(train_archs);
-    nn::GraphArena arena;
-    if (fast)
-        arena.activate();
 
     nn::AdamW opt(mlp_->params(), lr, 0.0);
     for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
         for (const auto &batch :
              makeBatches(train_archs.size(), batch_size, rng_)) {
-            if (fast)
-                arena.reset();
             std::vector<pareto::Point> sub;
             sub.reserve(batch.size());
             for (std::size_t idx : batch)
                 sub.push_back(train_pts[idx]);
             const std::vector<int> ranks = pareto::paretoRanks(sub);
             opt.zeroGrad();
-            const nn::Tensor pred =
-                fast ? mlp_->forward(
-                           encoder_->encodeCached(cache, batch),
-                           false, rng_)
-                     : [&] {
-                           std::vector<nasbench::Architecture> archs;
-                           archs.reserve(batch.size());
-                           for (std::size_t idx : batch)
-                               archs.push_back(train_archs[idx]);
-                           return forward(archs, false, rng_);
-                       }();
+            const nn::Tensor enc =
+                fast ? encoder_->encodeCached(cache, batch) : [&] {
+                    std::vector<nasbench::Architecture> archs;
+                    archs.reserve(batch.size());
+                    for (std::size_t idx : batch)
+                        archs.push_back(train_archs[idx]);
+                    return encoder_->encode(archs);
+                }();
+            // The frozen encoding enters the MLP as a constant, so
+            // backward stops at the MLP.
+            const nn::Tensor pred = mlp_->forward(
+                nn::Tensor::constant(enc.value(), "frozen_enc"), false,
+                rng_);
             nn::Tensor loss = nn::listMleParetoLoss(pred, ranks);
             nn::backward(loss);
             opt.step();
         }
     }
-    if (fast)
-        arena.deactivate();
     invalidateRankState();
     energyAware_ = true;
 }

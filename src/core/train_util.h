@@ -37,13 +37,12 @@ std::vector<std::vector<std::size_t>>
 makeBatches(std::size_t n, std::size_t batch_size, Rng &rng);
 
 /**
- * Whether the fit-time fast paths (autodiff graph arena + encoding
- * cache) are enabled. On by default; both paths are bit-identical to
- * the plain ones, and the reproducibility tests toggle this off to
- * assert exactly that.
+ * Whether the fit-time fast path (the encoding cache) is enabled. On
+ * by default; it is bit-identical to the plain path, and the
+ * reproducibility tests toggle it off to assert exactly that.
  */
 bool trainFastPath();
-/** Enable/disable the fit-time fast paths (process-wide). */
+/** Enable/disable the fit-time fast path (process-wide). */
 void setTrainFastPath(bool enabled);
 
 /** Copy current parameter values (for best-epoch restore). */

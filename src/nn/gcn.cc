@@ -70,7 +70,7 @@ GcnEncoder::forward(const std::vector<const GraphInput *> &graphs) const
         global_rows.push_back(g->globalNode);
         total += g->features.rows();
     }
-    Matrix stacked = detail::newMatrix(total, cfg_.featDim, true);
+    Matrix stacked(total, cfg_.featDim);
     for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
         const Matrix &f = graphs[gi]->features;
         for (std::size_t i = 0; i < f.rows(); ++i)
@@ -87,7 +87,7 @@ GcnEncoder::forward(const std::vector<const GraphInput *> &graphs) const
 
     // Mean-pool readout: average node embeddings per graph. Expressed
     // with a constant pooling matrix so gradients flow through matmul.
-    Matrix pool = detail::newMatrix(graphs.size(), total, true);
+    Matrix pool(graphs.size(), total);
     for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
         const std::size_t v = blocks->adj[gi].rows();
         for (std::size_t i = 0; i < v; ++i)

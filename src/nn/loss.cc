@@ -18,8 +18,8 @@ makeScalarOp(double value, TensorNodePtr parent,
              std::function<void(TensorNode &)> backward_fn,
              const char *name)
 {
-    auto node = detail::newNode();
-    node->value = detail::newMatrix(1, 1, false);
+    auto node = std::make_shared<TensorNode>();
+    node->value = Matrix(1, 1);
     node->value(0, 0) = value;
     node->parents = {std::move(parent)};
     node->name = name;

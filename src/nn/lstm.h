@@ -34,6 +34,46 @@ struct LstmConfig
     std::size_t layers = 2;
 };
 
+/** Gate parameters of one LSTM layer, gate order [i, f, g, o]. */
+struct LstmLayer
+{
+    Tensor wx; ///< (in x 4h) input-to-gates
+    Tensor wh; ///< (h x 4h) hidden-to-gates
+    Tensor b;  ///< (1 x 4h) gate biases
+};
+
+/**
+ * Fused stacked LSTM over equal-length token sequences: embedding
+ * lookup, every layer and every step recorded as ONE autodiff node
+ * whose value is the top layer's final hidden state (batch x h).
+ *
+ * Values and gradients are bit-identical to this composed graph of
+ * tensor ops: per step and layer, z = add(matmul(x_t, wx), matmul(h, wh))
+ * plus the bias row, four sliceCols panels through sigmoid/tanh, then
+ * c = add(mul(f, c), mul(i, g)) and h = mul(o, tanhT(c)), starting
+ * from zero h and c, with x_t = gatherRows(embedding, tokens at t) in
+ * layer 0 and the layer below's h_t above it. tests/prop/
+ * test_prop_lstm.cc builds that graph as the oracle.
+ *
+ * Forward: layer 0 reads rows of the (vocab x 4h) product
+ * embedding * wx0 and each later layer runs one stacked
+ * (T*batch x h) * (h x 4h) GEMM; neither changes a GEMM row's
+ * ascending-k chain. The node keeps i, f, g, o, c, tanh(c) and h
+ * per step and layer (7h doubles per row).
+ *
+ * Backward reproduces the composed graph's accumulation order under
+ * nn::backward's reverse post-order (DESIGN.md "Training hot path"):
+ * layers top down; within a layer, steps in descending t with the
+ * graph's elementwise kernels over the same per-gate (batch x h)
+ * panels, wh and b gradients accumulating per step; then the input
+ * products' gradients as stacked GEMMs over ascending t. Parameters
+ * that do not require a gradient get no gradient work.
+ */
+Tensor lstmStack(const Tensor &embedding,
+                 const std::vector<LstmLayer> &layers,
+                 const std::vector<const std::vector<std::size_t> *>
+                     &sequences);
+
 /**
  * Token-sequence encoder: embedding -> stacked LSTM -> final hidden
  * state of the top layer (batch x hidden).
@@ -44,7 +84,8 @@ class LstmEncoder : public Module
     LstmEncoder(const LstmConfig &cfg, Rng &rng);
 
     /**
-     * Encode a batch of equal-length token sequences.
+     * Encode a batch of equal-length token sequences (one lstmStack
+     * node).
      * @param sequences sequences[b][t] is the token id at step t.
      * @return (batch x hidden) encoding.
      */
@@ -60,18 +101,12 @@ class LstmEncoder : public Module
                        &sequences) const;
 
     /**
-     * Inference-only encoding on raw matrices: no autodiff graph is
-     * recorded. Matches forward() bit-for-bit.
-     */
-    Matrix encodeBatch(
-        const std::vector<std::vector<std::size_t>> &sequences) const;
-
-    /**
-     * Fused-plan encoding: every intermediate (embedded steps, gate
-     * panels, hidden/cell state) comes from @p scratch, so repeated
-     * passes allocate nothing. The returned reference points at
-     * scratch memory valid until the next scratch reset.
-     * Bit-identical to encodeBatch().
+     * Inference-only encoding on raw matrices, no autodiff node: every
+     * intermediate (embedded steps, gate panels, hidden/cell state)
+     * comes from @p scratch, so repeated passes allocate nothing. The
+     * returned reference points at scratch memory valid until the next
+     * scratch reset. Runs lstmStack's step routine with per-step input
+     * products, so it matches forward() bit for bit.
      */
     const Matrix &encodeBatchInto(
         const std::vector<std::vector<std::size_t>> &sequences,
@@ -82,17 +117,9 @@ class LstmEncoder : public Module
     const LstmConfig &config() const { return cfg_; }
 
   private:
-    /** Per-layer gate parameters, gate order [i, f, g, o]. */
-    struct LayerParams
-    {
-        Tensor wx; ///< (in x 4h) input-to-gates
-        Tensor wh; ///< (h x 4h) hidden-to-gates
-        Tensor b;  ///< (1 x 4h) gate biases
-    };
-
     LstmConfig cfg_;
     Tensor embedding_; ///< (vocab x embedDim)
-    std::vector<LayerParams> layerParams_;
+    std::vector<LstmLayer> layerParams_;
 };
 
 } // namespace hwpr::nn

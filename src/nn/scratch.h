@@ -2,17 +2,17 @@
  * @file
  * Recycled matrix scratch for the fused inference path.
  *
- * PredictScratch is the inference-side analogue of GraphArena: a
- * shape-keyed pool of Matrix buffers that the batched encode+predict
- * kernels acquire instead of allocating per call. A reset() marks
- * every buffer free without releasing its memory, so a pass that
- * repeats the same shape sequence — every chunk of every generation
- * of a search does — allocates exactly once and then recycles.
+ * PredictScratch is a shape-keyed pool of Matrix buffers that the
+ * batched encode+predict kernels acquire instead of allocating per
+ * call. A reset() marks every buffer free without releasing its
+ * memory, so a pass that repeats the same shape sequence — every
+ * chunk of every generation of a search does — allocates exactly
+ * once and then recycles.
  *
- * Unlike GraphArena it is not thread-local: the caller owns one
- * PredictScratch per parallel chunk slot (see core::BatchPlan), so
- * concurrent chunks never contend and the buffer a given chunk sees
- * depends only on the chunk layout, never on which worker ran it.
+ * It is not thread-local: the caller owns one PredictScratch per
+ * parallel chunk slot (see core::BatchPlan), so concurrent chunks
+ * never contend and the buffer a given chunk sees depends only on
+ * the chunk layout, never on which worker ran it.
  */
 
 #ifndef HWPR_NN_SCRATCH_H

@@ -35,15 +35,6 @@ namespace hwpr::nn
 namespace
 {
 
-/** Thread's active arena (training is single-threaded per fit). */
-thread_local GraphArena *t_active_arena = nullptr;
-
-std::uint64_t
-shapeKey(std::size_t rows, std::size_t cols)
-{
-    return (std::uint64_t(rows) << 32) | std::uint64_t(cols);
-}
-
 /** Elementwise threshold / grain, mirroring Matrix::map. */
 constexpr std::size_t kEltwiseParallel = std::size_t(1) << 15;
 
@@ -147,27 +138,14 @@ void reluInto(const Matrix &src, Matrix &dst);
  * Forward/backward sweeps of the cheap tensor ops, cloned
  * (common/isa.h) so AVX2 machines run them 4-wide. Each caller sweeps
  * serially or over 4-aligned chunks, so results are identical at
- * every thread count.
+ * every thread count. The kernels fused ops share are in detail
+ * (nn/tensor.h).
  */
-HWPR_TARGET_CLONES void
-addK(const double *a, const double *b, double *o, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        o[i] = a[i] + b[i];
-}
-
 HWPR_TARGET_CLONES void
 subK(const double *a, const double *b, double *o, std::size_t n)
 {
     for (std::size_t i = 0; i < n; ++i)
         o[i] = a[i] - b[i];
-}
-
-HWPR_TARGET_CLONES void
-mulK(const double *a, const double *b, double *o, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        o[i] = a[i] * b[i];
 }
 
 HWPR_TARGET_CLONES void
@@ -191,28 +169,6 @@ reluGradK(const double *x, const double *g, double *go, std::size_t n)
         go[i] += x[i] > 0.0 ? g[i] : 0.0;
 }
 
-HWPR_TARGET_CLONES void
-tanhGradK(const double *y, const double *g, double *go, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        go[i] += g[i] * (1.0 - y[i] * y[i]);
-}
-
-HWPR_TARGET_CLONES void
-sigmoidGradK(const double *y, const double *g, double *go,
-             std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        go[i] += g[i] * y[i] * (1.0 - y[i]);
-}
-
-/** go[i] += g[i]: gradient accumulation into a row segment. */
-HWPR_TARGET_CLONES void
-accK(double *go, const double *g, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        go[i] += g[i];
-}
 /** @} */
 
 void
@@ -233,145 +189,8 @@ reluInto(const Matrix &src, Matrix &dst)
 
 } // namespace
 
-// ---------------------------------------------------------------------
-// GraphArena
-// ---------------------------------------------------------------------
-
-GraphArena::~GraphArena()
-{
-    if (t_active_arena == this)
-        t_active_arena = nullptr;
-}
-
-void
-GraphArena::activate()
-{
-    HWPR_CHECK(t_active_arena == nullptr,
-               "another GraphArena is already active on this thread");
-    t_active_arena = this;
-}
-
-void
-GraphArena::deactivate()
-{
-    HWPR_CHECK(t_active_arena == this,
-               "deactivate() on a non-active GraphArena");
-    t_active_arena = nullptr;
-}
-
-GraphArena *
-GraphArena::active()
-{
-    return t_active_arena;
-}
-
-void
-GraphArena::reset()
-{
-    for (auto &ptr : live_) {
-        // Nodes still referenced from outside the arena (an external
-        // Tensor handle, or a parents edge of such a node's graph)
-        // are left alone: dropping our reference hands them back to
-        // normal shared_ptr lifetime.
-        if (ptr.use_count() != 1)
-            continue;
-        TensorNode &node = *ptr;
-        if (node.value.size() > 0) {
-            poolBytes_ += node.value.size() * sizeof(double);
-            pool_[shapeKey(node.value.rows(), node.value.cols())]
-                .push_back(std::move(node.value));
-        }
-        if (node.grad.size() > 0) {
-            poolBytes_ += node.grad.size() * sizeof(double);
-            pool_[shapeKey(node.grad.rows(), node.grad.cols())]
-                .push_back(std::move(node.grad));
-        }
-        node.value = Matrix();
-        node.grad = Matrix();
-        node.requiresGrad = false;
-        node.parents.clear();
-        node.backward = nullptr;
-        node.name.clear();
-        node.aux.clear();
-        node.blocks.reset();
-        free_.push_back(std::move(ptr));
-    }
-    live_.clear();
-    poolBytesHighWater_ = std::max(poolBytesHighWater_, poolBytes_);
-    if (obs::metricsEnabled()) {
-        static auto &alloc_g =
-            obs::Registry::global().gauge("train.arena.bytes_allocated");
-        static auto &reuse_g =
-            obs::Registry::global().gauge("train.arena.bytes_reused");
-        static auto &hw_g = obs::Registry::global().gauge(
-            "train.arena.pool_bytes_high_water");
-        alloc_g.set(double(bytesAllocated_));
-        reuse_g.set(double(bytesReused_));
-        hw_g.set(double(poolBytesHighWater_));
-    }
-}
-
-Matrix
-GraphArena::acquire(std::size_t rows, std::size_t cols, bool zero)
-{
-    const std::uint64_t bytes =
-        std::uint64_t(rows) * cols * sizeof(double);
-    auto it = pool_.find(shapeKey(rows, cols));
-    if (it != pool_.end() && !it->second.empty()) {
-        Matrix m = std::move(it->second.back());
-        it->second.pop_back();
-        bytesReused_ += bytes;
-        poolBytes_ -= std::min(poolBytes_, bytes);
-        if (zero)
-            m.fill(0.0);
-        return m;
-    }
-    bytesAllocated_ += bytes;
-    return Matrix(rows, cols);
-}
-
-TensorNodePtr
-GraphArena::node()
-{
-    TensorNodePtr n;
-    if (!free_.empty()) {
-        n = std::move(free_.back());
-        free_.pop_back();
-    } else {
-        n = std::make_shared<TensorNode>();
-        n->arenaOwned = true;
-    }
-    live_.push_back(n);
-    return n;
-}
-
-std::size_t
-GraphArena::pooledBuffers() const
-{
-    std::size_t total = 0;
-    for (const auto &[key, vec] : pool_)
-        total += vec.size();
-    return total;
-}
-
 namespace detail
 {
-
-TensorNodePtr
-newNode()
-{
-    if (GraphArena *arena = GraphArena::active())
-        return arena->node();
-    return std::make_shared<TensorNode>();
-}
-
-Matrix
-newMatrix(std::size_t rows, std::size_t cols, bool zero)
-{
-    if (GraphArena *arena = GraphArena::active())
-        return arena->acquire(rows, cols, zero);
-    return Matrix(rows, cols);
-}
 
 void
 tanhMap(const Matrix &src, Matrix &dst)
@@ -391,6 +210,42 @@ reluMap(const Matrix &src, Matrix &dst)
     reluInto(src, dst);
 }
 
+HWPR_TARGET_CLONES void
+addK(const double *a, const double *b, double *o, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        o[i] = a[i] + b[i];
+}
+
+HWPR_TARGET_CLONES void
+mulK(const double *a, const double *b, double *o, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        o[i] = a[i] * b[i];
+}
+
+HWPR_TARGET_CLONES void
+tanhGradK(const double *y, const double *g, double *go, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        go[i] += g[i] * (1.0 - y[i] * y[i]);
+}
+
+HWPR_TARGET_CLONES void
+sigmoidGradK(const double *y, const double *g, double *go,
+             std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        go[i] += g[i] * y[i] * (1.0 - y[i]);
+}
+
+HWPR_TARGET_CLONES void
+accK(double *go, const double *g, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        go[i] += g[i];
+}
+
 } // namespace detail
 
 // ---------------------------------------------------------------------
@@ -402,17 +257,12 @@ TensorNode::ensureGrad()
 {
     if (grad.rows() == value.rows() && grad.cols() == value.cols())
         return;
-    if (arenaOwned && GraphArena::active())
-        grad = GraphArena::active()->acquire(value.rows(),
-                                             value.cols(), true);
-    else
-        grad = Matrix(value.rows(), value.cols());
+    grad = Matrix(value.rows(), value.cols());
 }
 
 Tensor
 Tensor::param(Matrix m, std::string name)
 {
-    // Parameters outlive every step: never arena-allocated.
     auto node = std::make_shared<TensorNode>();
     node->value = std::move(m);
     node->requiresGrad = true;
@@ -424,7 +274,7 @@ Tensor::param(Matrix m, std::string name)
 Tensor
 Tensor::constant(Matrix m, std::string name)
 {
-    auto node = detail::newNode();
+    auto node = std::make_shared<TensorNode>();
     node->value = std::move(m);
     node->requiresGrad = false;
     node->name = std::move(name);
@@ -449,7 +299,7 @@ makeOp(Matrix value, std::vector<TensorNodePtr> parents,
        std::function<void(TensorNode &)> backward_fn,
        const char *name)
 {
-    auto node = detail::newNode();
+    auto node = std::make_shared<TensorNode>();
     node->value = std::move(value);
     node->parents = std::move(parents);
     node->name = name;
@@ -519,9 +369,9 @@ add(const Tensor &a, const Tensor &b)
     const Matrix &bv = b.value();
     HWPR_ASSERT(av.rows() == bv.rows() && av.cols() == bv.cols(),
                 "shape mismatch in add");
-    Matrix out = detail::newMatrix(av.rows(), av.cols(), false);
-    addK(av.raw().data(), bv.raw().data(), out.raw().data(),
-         out.size());
+    Matrix out(av.rows(), av.cols());
+    detail::addK(av.raw().data(), bv.raw().data(), out.raw().data(),
+                 out.size());
     return makeOp(
         std::move(out), {a.node(), b.node()},
         [](TensorNode &self) {
@@ -542,7 +392,7 @@ sub(const Tensor &a, const Tensor &b)
     const Matrix &bv = b.value();
     HWPR_ASSERT(av.rows() == bv.rows() && av.cols() == bv.cols(),
                 "shape mismatch in sub");
-    Matrix out = detail::newMatrix(av.rows(), av.cols(), false);
+    Matrix out(av.rows(), av.cols());
     subK(av.raw().data(), bv.raw().data(), out.raw().data(),
          out.size());
     return makeOp(
@@ -569,9 +419,9 @@ mul(const Tensor &a, const Tensor &b)
     const Matrix &bv = b.value();
     HWPR_ASSERT(av.rows() == bv.rows() && av.cols() == bv.cols(),
                 "shape mismatch in mul");
-    Matrix out = detail::newMatrix(av.rows(), av.cols(), false);
-    mulK(av.raw().data(), bv.raw().data(), out.raw().data(),
-         out.size());
+    Matrix out(av.rows(), av.cols());
+    detail::mulK(av.raw().data(), bv.raw().data(), out.raw().data(),
+                 out.size());
     return makeOp(
         std::move(out), {a.node(), b.node()},
         [](TensorNode &self) {
@@ -593,7 +443,7 @@ Tensor
 scale(const Tensor &a, double s)
 {
     const Matrix &av = a.value();
-    Matrix out = detail::newMatrix(av.rows(), av.cols(), false);
+    Matrix out(av.rows(), av.cols());
     scaleK(av.raw().data(), s, out.raw().data(), out.size());
     return makeOp(
         std::move(out), {a.node()},
@@ -608,7 +458,7 @@ scale(const Tensor &a, double s)
 Tensor
 matmul(const Tensor &a, const Tensor &b)
 {
-    Matrix out = detail::newMatrix(a.rows(), b.cols(), false);
+    Matrix out(a.rows(), b.cols());
     a.value().matmulInto(b.value(), out);
     return makeOp(
         std::move(out), {a.node(), b.node()},
@@ -638,11 +488,11 @@ addRowBroadcast(const Tensor &a, const Tensor &bias)
     const Matrix &rv = bias.value();
     HWPR_ASSERT(rv.rows() == 1 && rv.cols() == av.cols(),
                 "broadcast row shape mismatch");
-    Matrix out = detail::newMatrix(av.rows(), av.cols(), false);
+    Matrix out(av.rows(), av.cols());
     const std::size_t cols = av.cols();
     for (std::size_t i = 0; i < av.rows(); ++i)
-        addK(&av.raw()[i * cols], rv.raw().data(),
-             &out.raw()[i * cols], cols);
+        detail::addK(&av.raw()[i * cols], rv.raw().data(),
+                     &out.raw()[i * cols], cols);
     return makeOp(
         std::move(out), {a.node(), bias.node()},
         [](TensorNode &self) {
@@ -658,8 +508,8 @@ addRowBroadcast(const Tensor &a, const Tensor &bias)
                 // ascending-i summation chain.
                 const std::size_t n = self.grad.cols();
                 for (std::size_t i = 0; i < self.grad.rows(); ++i)
-                    accK(pb->grad.raw().data(),
-                         &self.grad.raw()[i * n], n);
+                    detail::accK(pb->grad.raw().data(),
+                                 &self.grad.raw()[i * n], n);
             }
         },
         "bias");
@@ -668,7 +518,7 @@ addRowBroadcast(const Tensor &a, const Tensor &bias)
 Tensor
 relu(const Tensor &a)
 {
-    Matrix out = detail::newMatrix(a.rows(), a.cols(), false);
+    Matrix out(a.rows(), a.cols());
     reluInto(a.value(), out);
     return makeOp(
         std::move(out), {a.node()},
@@ -686,7 +536,7 @@ relu(const Tensor &a)
 Tensor
 tanhT(const Tensor &a)
 {
-    Matrix out = detail::newMatrix(a.rows(), a.cols(), false);
+    Matrix out(a.rows(), a.cols());
     tanhInto(a.value(), out);
     return makeOp(
         std::move(out), {a.node()},
@@ -696,7 +546,7 @@ tanhT(const Tensor &a)
             const auto &y = self.value.raw();
             const auto &g = self.grad.raw();
             auto &out = p->grad.raw();
-            tanhGradK(y.data(), g.data(), out.data(), out.size());
+            detail::tanhGradK(y.data(), g.data(), out.data(), out.size());
         },
         "tanh");
 }
@@ -704,7 +554,7 @@ tanhT(const Tensor &a)
 Tensor
 sigmoid(const Tensor &a)
 {
-    Matrix out = detail::newMatrix(a.rows(), a.cols(), false);
+    Matrix out(a.rows(), a.cols());
     sigmoidInto(a.value(), out);
     return makeOp(
         std::move(out), {a.node()},
@@ -714,7 +564,7 @@ sigmoid(const Tensor &a)
             const auto &y = self.value.raw();
             const auto &g = self.grad.raw();
             auto &out = p->grad.raw();
-            sigmoidGradK(y.data(), g.data(), out.data(), out.size());
+            detail::sigmoidGradK(y.data(), g.data(), out.data(), out.size());
         },
         "sigmoid");
 }
@@ -725,8 +575,7 @@ concatCols(const Tensor &a, const Tensor &b)
     const Matrix &av = a.value();
     const Matrix &bv = b.value();
     HWPR_ASSERT(av.rows() == bv.rows(), "hconcat row mismatch");
-    Matrix out =
-        detail::newMatrix(av.rows(), av.cols() + bv.cols(), false);
+    Matrix out(av.rows(), av.cols() + bv.cols());
     for (std::size_t i = 0; i < av.rows(); ++i) {
         double *dst = &out.raw()[i * out.cols()];
         std::memcpy(dst, &av.raw()[i * av.cols()],
@@ -746,11 +595,11 @@ concatCols(const Tensor &a, const Tensor &b)
                 const double *g = &self.grad.raw()[i * n];
                 if (pa->requiresGrad) {
                     pa->ensureGrad();
-                    accK(&pa->grad.raw()[i * ca], g, ca);
+                    detail::accK(&pa->grad.raw()[i * ca], g, ca);
                 }
                 if (pb->requiresGrad) {
                     pb->ensureGrad();
-                    accK(&pb->grad.raw()[i * cb], g + ca, cb);
+                    detail::accK(&pb->grad.raw()[i * cb], g + ca, cb);
                 }
             }
         },
@@ -762,7 +611,7 @@ sliceCols(const Tensor &a, std::size_t begin, std::size_t end)
 {
     HWPR_ASSERT(begin < end && end <= a.cols(),
                 "sliceCols out of range");
-    Matrix out = detail::newMatrix(a.rows(), end - begin, false);
+    Matrix out(a.rows(), end - begin);
     const std::size_t w = end - begin;
     const std::size_t cols = a.cols();
     for (std::size_t i = 0; i < a.rows(); ++i)
@@ -776,8 +625,8 @@ sliceCols(const Tensor &a, std::size_t begin, std::size_t end)
             p->ensureGrad();
             const std::size_t cols = p->value.cols();
             for (std::size_t i = 0; i < self.value.rows(); ++i)
-                accK(&p->grad.raw()[i * cols + begin],
-                     &self.grad.raw()[i * w], w);
+                detail::accK(&p->grad.raw()[i * cols + begin],
+                             &self.grad.raw()[i * w], w);
         },
         "slice");
 }
@@ -785,13 +634,13 @@ sliceCols(const Tensor &a, std::size_t begin, std::size_t end)
 Tensor
 gatherRows(const Tensor &table, const std::vector<std::size_t> &indices)
 {
-    Matrix out = detail::newMatrix(indices.size(), table.cols(), false);
+    Matrix out(indices.size(), table.cols());
     for (std::size_t i = 0; i < indices.size(); ++i) {
         HWPR_ASSERT(indices[i] < table.rows(), "gather index OOB");
         for (std::size_t j = 0; j < table.cols(); ++j)
             out(i, j) = table.value()(indices[i], j);
     }
-    // Indices live in the node's reusable aux vector, keeping the
+    // Indices live in the node's aux vector, keeping the
     // backward closure captureless (inline-stored, no allocation).
     Tensor t = makeOp(
         std::move(out), {table.node()},
@@ -811,7 +660,7 @@ Tensor
 meanAll(const Tensor &a)
 {
     const double inv = 1.0 / double(a.value().size());
-    Matrix out = detail::newMatrix(1, 1, false);
+    Matrix out(1, 1);
     out(0, 0) = a.value().sum() * inv;
     return makeOp(
         std::move(out), {a.node()},
@@ -828,7 +677,7 @@ meanAll(const Tensor &a)
 Tensor
 sumAll(const Tensor &a)
 {
-    Matrix out = detail::newMatrix(1, 1, false);
+    Matrix out(1, 1);
     out(0, 0) = a.value().sum();
     return makeOp(
         std::move(out), {a.node()},
@@ -849,7 +698,7 @@ dropout(const Tensor &a, double p, bool training, Rng &rng)
         return a;
     HWPR_CHECK(p < 1.0, "dropout probability must be < 1");
     const double keep_scale = 1.0 / (1.0 - p);
-    Matrix mask = detail::newMatrix(a.rows(), a.cols(), false);
+    Matrix mask(a.rows(), a.cols());
     for (double &v : mask.raw())
         v = rng.bernoulli(p) ? 0.0 : keep_scale;
     Tensor mask_t = Tensor::constant(std::move(mask), "dropout_mask");
@@ -862,7 +711,7 @@ blockAdjacencyMatmul(const Tensor &h,
 {
     HWPR_ASSERT(blocks && blocks->adj.size() == blocks->offsets.size(),
                 "adjacency/offset count mismatch");
-    Matrix out = detail::newMatrix(h.rows(), h.cols(), true);
+    Matrix out(h.rows(), h.cols());
     const std::size_t f = h.cols();
     for (std::size_t g = 0; g < blocks->adj.size(); ++g) {
         const Matrix &a = blocks->adj[g];
@@ -928,7 +777,7 @@ gatherBlockRows(const Tensor &h, const std::vector<std::size_t> &offsets,
 {
     HWPR_ASSERT(offsets.size() == row_in_block.size(),
                 "offset/row count mismatch");
-    Matrix out = detail::newMatrix(offsets.size(), h.cols(), false);
+    Matrix out(offsets.size(), h.cols());
     for (std::size_t g = 0; g < offsets.size(); ++g) {
         const std::size_t row = offsets[g] + row_in_block[g];
         HWPR_ASSERT(row < h.rows(), "block row OOB");

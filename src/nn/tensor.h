@@ -7,16 +7,7 @@
  * topologically sorts the recorded graph and accumulates gradients
  * into every node with requiresGrad set. Parameter nodes are persistent
  * across iterations (layers hold them); intermediate nodes are freed
- * when the last Tensor handle to a graph goes out of scope — unless a
- * GraphArena is active, in which case op and constant nodes (never
- * params) and their value/grad buffers are recycled across training
- * steps instead of being reallocated.
- *
- * Arena lifetime rule: call GraphArena::reset() only when no Tensor
- * handle from the previous step is still live (in the training loop:
- * at the top of each iteration). Nodes still referenced from outside
- * the arena at reset() are left alone and simply drop out of the
- * recycling pool.
+ * when the last Tensor handle to a graph goes out of scope.
  */
 
 #ifndef HWPR_NN_TENSOR_H
@@ -26,7 +17,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/matrix.h"
@@ -61,120 +51,24 @@ class TensorNode
     std::function<void(TensorNode &)> backward;
     /** Debug label. */
     std::string name;
-    /** Op-specific index payload (gather/slice ops), reused across
-     *  arena recycles so captureless closures can read it. */
+    /** Op-specific index payload (gather ops), so their backward
+     *  closures stay captureless. */
     std::vector<std::size_t> aux;
     /** Block-adjacency payload of blockAdjacencyMatmul nodes. */
     std::shared_ptr<const BlockAdjacency> blocks;
     /** Visit stamp used by backward()'s allocation-free DFS. */
     std::uint64_t visitMark = 0;
-    /** True when a GraphArena owns (and may recycle) this node. */
-    bool arenaOwned = false;
 
     /** Ensure grad is allocated and zeroed to value's shape. */
     void ensureGrad();
 };
 
-/**
- * Per-fit recycling arena for autodiff graphs.
- *
- * While active (thread-local), op and constant nodes are drawn from a
- * freelist and their value/grad matrices from a shape-keyed buffer
- * pool, so the steady-state training loop stops allocating per step.
- * reset() reclaims every node whose only reference is the arena
- * itself; buffers return to the pool zeroed on demand. Parameters
- * (Tensor::param) are never arena-allocated.
- */
-class GraphArena
-{
-  public:
-    GraphArena() = default;
-    ~GraphArena();
-
-    GraphArena(const GraphArena &) = delete;
-    GraphArena &operator=(const GraphArena &) = delete;
-
-    /** Make this the calling thread's active arena (at most one). */
-    void activate();
-    /** Clear the thread's active arena (must be this one). */
-    void deactivate();
-    /** The calling thread's active arena, or nullptr. */
-    static GraphArena *active();
-
-    /**
-     * Recycle all nodes the arena alone still references. Call at the
-     * top of each training step, when the previous step's Tensor
-     * handles are gone.
-     */
-    void reset();
-
-    /** A pooled matrix of the given shape (zeroed when @p zero). */
-    Matrix acquire(std::size_t rows, std::size_t cols, bool zero);
-
-    /** A fresh or recycled node, tracked for the next reset(). */
-    TensorNodePtr node();
-
-    /// @name Introspection for tests
-    /// @{
-    std::size_t liveNodes() const { return live_.size(); }
-    std::size_t freeNodes() const { return free_.size(); }
-    std::size_t pooledBuffers() const;
-    /// @}
-
-    /// @name Byte accounting (see DESIGN.md "Performance
-    /// observatory"). Single-threaded like the arena itself; reset()
-    /// mirrors the totals into the global metrics registry
-    /// ("train.arena.*") when metrics are enabled.
-    /// @{
-    /** Bytes of fresh Matrix allocations over the arena's life. */
-    std::uint64_t bytesAllocated() const { return bytesAllocated_; }
-    /** Bytes served from the pool instead of fresh allocation. */
-    std::uint64_t bytesReused() const { return bytesReused_; }
-    /** Largest pool residency ever reached, in bytes. */
-    std::uint64_t
-    poolBytesHighWater() const
-    {
-        return poolBytesHighWater_;
-    }
-    /// @}
-
-    /** RAII activation: active for the guard's lifetime. */
-    class Scope
-    {
-      public:
-        explicit Scope(GraphArena &arena) : arena_(arena)
-        {
-            arena_.activate();
-        }
-        ~Scope() { arena_.deactivate(); }
-        Scope(const Scope &) = delete;
-        Scope &operator=(const Scope &) = delete;
-
-      private:
-        GraphArena &arena_;
-    };
-
-  private:
-    std::vector<TensorNodePtr> live_;
-    std::vector<TensorNodePtr> free_;
-    std::unordered_map<std::uint64_t, std::vector<Matrix>> pool_;
-    std::uint64_t bytesAllocated_ = 0;
-    std::uint64_t bytesReused_ = 0;
-    std::uint64_t poolBytes_ = 0;
-    std::uint64_t poolBytesHighWater_ = 0;
-};
-
 namespace detail
 {
 
-/** Arena-aware node factory (make_shared when no arena is active). */
-TensorNodePtr newNode();
-/** Arena-aware matrix factory (fresh Matrix when no arena). */
-Matrix newMatrix(std::size_t rows, std::size_t cols, bool zero);
-
 /**
  * Activation sweeps shared by the tensor ops and the raw inference
- * paths (Mlp::predictBatch, LstmEncoder::encodeBatch). On AVX2
+ * paths (Mlp::predictBatch, LstmEncoder::encodeBatchInto). On AVX2
  * machines the tanh/sigmoid sweeps use libmvec's 4-lane kernels,
  * whose values differ from scalar libm by a few ulp — every caller
  * must go through these functions (over buffers with the same element
@@ -184,6 +78,28 @@ Matrix newMatrix(std::size_t rows, std::size_t cols, bool zero);
 void tanhMap(const Matrix &src, Matrix &dst);
 void sigmoidMap(const Matrix &src, Matrix &dst);
 void reluMap(const Matrix &src, Matrix &dst);
+
+/**
+ * @{
+ * Elementwise kernels of the tensor ops, for fused ops (nn/lstm.cc)
+ * that must round exactly like the ops they replace. The kernels are
+ * cloned per ISA (common/isa.h) and a clone may contract multiply+add
+ * into FMA, so a hand-written loop is not a substitute: call these.
+ * Outputs may alias inputs elementwise.
+ */
+/** o = a + b (add, and each row of addRowBroadcast). */
+void addK(const double *a, const double *b, double *o, std::size_t n);
+/** o = a * b (mul). */
+void mulK(const double *a, const double *b, double *o, std::size_t n);
+/** go += g (sliceCols / concatCols / bias backward). */
+void accK(double *go, const double *g, std::size_t n);
+/** go += g * (1 - y * y), y = tanh output (tanhT backward). */
+void tanhGradK(const double *y, const double *g, double *go,
+               std::size_t n);
+/** go += g * y * (1 - y), y = sigmoid output (sigmoid backward). */
+void sigmoidGradK(const double *y, const double *g, double *go,
+                  std::size_t n);
+/** @} */
 
 } // namespace detail
 

@@ -179,12 +179,14 @@ TEST(BatchParity, LstmEncodeBatchMatchesTensorAndSingles)
             t = data_rng.index(cfg.vocab);
     }
 
-    const Matrix batched = lstm.encodeBatch(seqs);
+    nn::PredictScratch scratch;
+    const Matrix batched = lstm.encodeBatchInto(seqs, scratch);
     const Matrix tensor = lstm.forward(seqs).value();
     EXPECT_LE(maxAbsDiff(batched, tensor), 0.0);
 
     for (std::size_t r = 0; r < seqs.size(); ++r) {
-        const Matrix single = lstm.encodeBatch({seqs[r]});
+        scratch.reset();
+        const Matrix single = lstm.encodeBatchInto({seqs[r]}, scratch);
         for (std::size_t c = 0; c < batched.cols(); ++c)
             EXPECT_NEAR(single(0, c), batched(r, c), 1e-9);
     }

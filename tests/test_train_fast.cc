@@ -2,9 +2,9 @@
  * @file
  * Training fast-path tests: the tiled GEMM kernels must match the
  * naive reference kernels on arbitrary (including odd and packed)
- * shapes, gradients must stay correct through the tiled kernels with
- * a GraphArena active, and a same-seed fit() must be bit-identical
- * with the fast paths (arena + encoding cache) on vs off.
+ * shapes, gradients must stay correct through the tiled kernels, and
+ * a same-seed fit() must be bit-identical with the fast path
+ * (encoding cache) on vs off.
  */
 
 #include <gtest/gtest.h>
@@ -137,11 +137,10 @@ TEST(TiledGemm, AccumulateAddsToExistingContents)
               1e-12);
 }
 
-TEST(TrainFastPath, GradCheckThroughTiledKernelsWithArena)
+TEST(TrainFastPath, GradCheckThroughTiledKernels)
 {
     // A two-layer network whose forward and backward both route
-    // through the tiled matmul kernels, gradchecked while a
-    // GraphArena is active (nodes and buffers drawn from the pool).
+    // through the tiled matmul kernels, gradchecked.
     Rng rng(19);
     Tensor x = Tensor::constant(randomMatrix(6, 16, rng), "x");
     Tensor w1 = Tensor::param(randomMatrix(16, 24, rng), "w1");
@@ -154,20 +153,17 @@ TEST(TrainFastPath, GradCheckThroughTiledKernelsWithArena)
         return meanAll(sigmoid(matmul(h, w2)));
     };
 
-    GraphArena arena;
-    GraphArena::Scope scope(arena);
     for (Tensor leaf : {w1, b1, w2}) {
         const double err = gradCheck(build, leaf, 1e-6);
         EXPECT_LT(err, 1e-6) << "leaf " << leaf.name();
     }
-    EXPECT_GT(arena.liveNodes(), 0u);
 }
 
 TEST(TrainFastPath, SameSeedFitIdenticalFastVsSlow)
 {
-    // The arena and the encoding cache are pure reuse: with the fast
-    // paths off, a same-seed fit must produce the exact same loss
-    // trajectory and scores, bit for bit.
+    // The encoding cache is pure reuse: with the fast path off, a
+    // same-seed fit must produce the exact same loss trajectory and
+    // scores, bit for bit.
     static nasbench::Oracle oracle(nasbench::DatasetId::Cifar10);
     Rng rng(1234);
     const auto data = nasbench::SampledDataset::sample(
