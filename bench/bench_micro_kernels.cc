@@ -87,15 +87,31 @@ BM_Matmul(benchmark::State &state)
 BENCHMARK(BM_Matmul)->Arg(64)->Arg(128)->Arg(256);
 
 void
-BM_NonDominatedSort(benchmark::State &state)
+nonDominatedSort(benchmark::State &state, std::size_t dims)
 {
     Rng rng(2);
     const auto pts =
-        randomCloud(std::size_t(state.range(0)), 2, rng);
+        randomCloud(std::size_t(state.range(0)), dims, rng);
     for (auto _ : state)
         benchmark::DoNotOptimize(pareto::paretoRanks(pts));
 }
-BENCHMARK(BM_NonDominatedSort)->Arg(150)->Arg(300)->Arg(1000);
+
+// 4,000 points is the pipeline and search reference cloud.
+void
+BM_NonDominatedSort(benchmark::State &state)
+{
+    nonDominatedSort(state, 2);
+}
+BENCHMARK(BM_NonDominatedSort)->Arg(150)->Arg(300)->Arg(1000)->Arg(4000);
+
+// Three objectives take the front-scan path instead of the
+// newest-member check.
+void
+BM_NonDominatedSort3D(benchmark::State &state)
+{
+    nonDominatedSort(state, 3);
+}
+BENCHMARK(BM_NonDominatedSort3D)->Arg(150)->Arg(1000)->Arg(4000);
 
 void
 BM_Hypervolume2D(benchmark::State &state)

@@ -31,73 +31,77 @@ paretoRanks(const std::vector<Point> &points)
     std::vector<int> ranks(n, 0);
     if (n == 0)
         return ranks;
+    const std::size_t m = points[0].size();
+    for (const Point &p : points)
+        HWPR_ASSERT(p.size() == m, "objective count mismatch");
 
     // NaN objectives make dominates() return false both ways, which
     // would hand a broken surrogate output rank 1 and poison elitist
     // selection. Exclude such points from the sort entirely and
     // assign them a rank strictly worse than every finite point.
-    std::vector<bool> invalid(n, false);
-    std::size_t num_valid = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        for (double v : points[i]) {
-            if (std::isnan(v)) {
-                invalid[i] = true;
-                break;
-            }
-        }
-        if (!invalid[i])
-            ++num_valid;
-    }
-
-    // Deb's fast non-dominated sort: for each point, the set it
-    // dominates and the count of points dominating it.
-    std::vector<std::vector<std::size_t>> dominated(n);
-    std::vector<int> dom_count(n, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-        if (invalid[i])
-            continue;
-        for (std::size_t j = i + 1; j < n; ++j) {
-            if (invalid[j])
-                continue;
-            if (dominates(points[i], points[j])) {
-                dominated[i].push_back(j);
-                ++dom_count[j];
-            } else if (dominates(points[j], points[i])) {
-                dominated[j].push_back(i);
-                ++dom_count[i];
-            }
-        }
-    }
-
-    std::vector<std::size_t> current;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (!invalid[i] && dom_count[i] == 0) {
-            ranks[i] = 1;
-            current.push_back(i);
-        }
-    }
-    int rank = 1;
-    while (!current.empty()) {
-        std::vector<std::size_t> next;
-        for (std::size_t i : current) {
-            for (std::size_t j : dominated[i]) {
-                if (--dom_count[j] == 0) {
-                    ranks[j] = rank + 1;
-                    next.push_back(j);
-                }
-            }
-        }
-        ++rank;
-        current = std::move(next);
-    }
-
-    // All NaN points share one rank after the last finite front (rank
-    // is left at max finite rank + 1 by the loop above; 1 when no
-    // point is finite).
-    const int worst = num_valid == n ? 0 : (num_valid == 0 ? 1 : rank);
+    std::vector<std::size_t> order;
+    order.reserve(n);
     for (std::size_t i = 0; i < n; ++i)
-        if (invalid[i])
-            ranks[i] = worst;
+        if (std::none_of(points[i].begin(), points[i].end(),
+                         [](double v) { return std::isnan(v); }))
+            order.push_back(i);
+
+    // Lexicographic order, identical points by index. A dominator is
+    // no worse in every objective and better in one, so it sorts
+    // first: each point's dominators all precede it.
+    std::sort(order.begin(), order.end(),
+              [&](std::size_t a, std::size_t b) {
+                  const Point &pa = points[a];
+                  const Point &pb = points[b];
+                  for (std::size_t d = 0; d < m; ++d) {
+                      if (pa[d] < pb[d])
+                          return true;
+                      if (pb[d] < pa[d])
+                          return false;
+                  }
+                  return a < b;
+              });
+
+    // ENS-BS (Zhang et al., IEEE TEVC 2015): put each point into the
+    // first front with no member dominating it. Every member of front
+    // k > 1 is dominated by a member of front k - 1, so by
+    // transitivity a dominator in front k implies one in every
+    // earlier front, and the first free front is found by binary
+    // search. With at most two objectives the last one never rises
+    // along a front in this order, so the newest member is the only
+    // candidate dominator and the sort is O(n log n); with three or
+    // more the members are scanned newest first.
+    std::vector<std::vector<std::size_t>> fronts;
+    const auto frontDominates = [&](const std::vector<std::size_t> &front,
+                                    const Point &p) {
+        if (m <= 2)
+            return dominates(points[front.back()], p);
+        return std::any_of(front.rbegin(), front.rend(),
+                           [&](std::size_t q) {
+                               return dominates(points[q], p);
+                           });
+    };
+    for (std::size_t i : order) {
+        std::size_t lo = 0, hi = fronts.size();
+        while (lo < hi) {
+            const std::size_t mid = lo + (hi - lo) / 2;
+            if (frontDominates(fronts[mid], points[i]))
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        if (lo == fronts.size())
+            fronts.emplace_back();
+        fronts[lo].push_back(i);
+        ranks[i] = int(lo) + 1;
+    }
+
+    // All NaN points share one rank after the last finite front (1
+    // when no point is finite).
+    const int worst = int(fronts.size()) + 1;
+    for (int &r : ranks)
+        if (r == 0)
+            r = worst;
     return ranks;
 }
 
@@ -140,16 +144,22 @@ crowdingDistance(const std::vector<Point> &front)
     }
     std::vector<std::size_t> order(n);
     for (std::size_t obj = 0; obj < m; ++obj) {
+        // NaN keys sort last, which keeps the comparator a strict
+        // weak ordering (a cut worst front holds the NaN points).
         std::iota(order.begin(), order.end(), 0);
         std::sort(order.begin(), order.end(),
                   [&](std::size_t a, std::size_t b) {
-                      return front[a][obj] < front[b][obj];
+                      const double x = front[a][obj];
+                      const double y = front[b][obj];
+                      return x < y || (!std::isnan(x) && std::isnan(y));
                   });
         const double span =
             front[order[n - 1]][obj] - front[order[0]][obj];
         dist[order[0]] = inf;
         dist[order[n - 1]] = inf;
-        if (span <= 0.0)
+        // A NaN or infinite span would make the gaps NaN: such an
+        // objective adds nothing to the interior points.
+        if (!(std::isfinite(span) && span > 0.0))
             continue;
         for (std::size_t k = 1; k + 1 < n; ++k) {
             dist[order[k]] += (front[order[k + 1]][obj] -

@@ -1,11 +1,12 @@
 /**
  * @file
- * Multi-objective primitives: Pareto dominance (paper Eqs. 1-3), fast
- * non-dominated sorting (Deb's NSGA-II algorithm) producing the Pareto
- * ranks F1..FK the surrogate is trained to preserve, crowding
- * distances, and exact hypervolume computation in two and three
- * dimensions (the paper's quality indicator, computed against the
- * furthest point from the front as in pymoo usage).
+ * Multi-objective primitives: Pareto dominance (paper Eqs. 1-3),
+ * non-dominated sorting (lexicographic sort plus ENS-BS front
+ * assignment) producing the Pareto ranks F1..FK the surrogate is
+ * trained to preserve, crowding distances, and exact hypervolume
+ * computation in two and three dimensions (the paper's quality
+ * indicator, computed against the furthest point from the front as
+ * in pymoo usage).
  *
  * Convention: ALL objectives are minimized. Callers convert
  * maximization objectives (accuracy) by negation or (100 - acc).
@@ -30,14 +31,25 @@ using Point = std::vector<double>;
 bool dominates(const Point &a, const Point &b);
 
 /**
- * Fast non-dominated sort. Returns 1-based Pareto ranks: rank 1 is
- * the non-dominated front F1, rank 2 the front after removing F1
- * (Eqs. 1-3 of the paper), and so on. O(m n^2).
+ * Non-dominated sort. Returns 1-based Pareto ranks: rank 1 is the
+ * non-dominated front F1, rank 2 the front after removing F1 (Eqs.
+ * 1-3 of the paper), and so on.
+ *
+ * Sorts the points lexicographically (identical points by index), so
+ * every dominator precedes the points it dominates, then places each
+ * point in the first front holding no dominator of it, found by
+ * binary search over the fronts (ENS-BS, Zhang et al., IEEE TEVC
+ * 2015). With one or two objectives only a front's newest member can
+ * dominate, so the sort is O(n log n), the Kung-Luccio-Preparata
+ * bound; with m >= 3 each probe scans the front, O(m n^2) worst case.
+ * Identical points share a front. Every point must have the same
+ * objective count (asserted).
  *
  * Points with any NaN objective (a misbehaving surrogate) are
  * excluded from the sort and assigned one shared rank strictly worse
  * than every finite point, so they can never displace real solutions
- * from the elitist fronts.
+ * from the elitist fronts. Infinities and signed zeros order as IEEE
+ * comparisons do (-0 == +0).
  */
 std::vector<int> paretoRanks(const std::vector<Point> &points);
 
@@ -51,7 +63,9 @@ nonDominatedIndices(const std::vector<Point> &points);
 
 /**
  * NSGA-II crowding distance of each point within one front (larger is
- * less crowded; boundary points get +infinity).
+ * less crowded; boundary points get +infinity). Keys sort with NaN
+ * last; an objective whose span is NaN or infinite adds nothing to
+ * interior points, so no distance is ever NaN.
  */
 std::vector<double> crowdingDistance(const std::vector<Point> &front);
 
