@@ -44,7 +44,7 @@ scoreRankTau(const core::HwPrNas &model,
     std::vector<double> neg_rank;
     for (int r : ranks)
         neg_rank.push_back(-double(r));
-    return kendallTau(model.scores(archs), neg_rank);
+    return kendallTau(model.predict(archs).raw(), neg_rank);
 }
 
 } // namespace
@@ -178,7 +178,7 @@ main()
         lut.build(calib);
     }
     const double lut_tau =
-        kendallTau(lut.estimate(test_archs), test_lat);
+        kendallTau(lut.predict(test_archs).raw(), test_lat);
 
     core::MetricPredictor af_mlp(core::EncodingKind::AF,
                                  budget.encoder,

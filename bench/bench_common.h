@@ -213,7 +213,7 @@ trainSurrogates(const Budget &b, nasbench::DatasetId dataset,
         for (std::size_t i = 0; i < 64 && i < train.size(); ++i)
             probe.push_back(train[i]->arch);
         const double c0 = nowSeconds();
-        bundle.hwpr->scores(probe);
+        bundle.hwpr->predict(probe);
         bundle.unitCallSeconds =
             (nowSeconds() - c0) / double(probe.size());
     }

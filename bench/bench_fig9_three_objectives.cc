@@ -49,11 +49,7 @@ main()
               << std::endl;
 
     // Search with the energy-aware score.
-    search::ParetoScoreEvaluator eval(
-        "HW-PR-NAS-scalable",
-        [&model](const std::vector<nasbench::Architecture> &archs) {
-            return model.scores(archs);
-        });
+    core::SurrogateEvaluator eval(model);
     Rng rng_s(102);
     const auto result =
         search::Moea(budget.moea)

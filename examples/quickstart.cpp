@@ -62,7 +62,8 @@ main()
     std::vector<double> rank_d(ranks.size());
     for (std::size_t i = 0; i < ranks.size(); ++i)
         rank_d[i] = -double(ranks[i]); // high score should mean rank 1
-    const double tau = kendallTau(model.scores(test_archs), rank_d);
+    const double tau =
+        kendallTau(model.predict(test_archs).raw(), rank_d);
     std::cout << "Kendall tau (score vs true Pareto rank) on "
               << test.size() << " test archs: "
               << AsciiTable::num(tau, 3) << std::endl;

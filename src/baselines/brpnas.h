@@ -11,107 +11,25 @@
 #ifndef HWPR_BASELINES_BRPNAS_H
 #define HWPR_BASELINES_BRPNAS_H
 
-#include <memory>
-#include <span>
-
-#include "core/predictor.h"
-#include "core/surrogate.h"
+#include "baselines/two_surrogate.h"
 
 namespace hwpr::baselines
 {
 
-/** Two-surrogate BRP-NAS baseline. */
-class BrpNas : public core::Surrogate
+/**
+ * Two-surrogate BRP-NAS baseline. Accuracy uses the
+ * binary-relation-style ranking objective (hinge) plus MSE; latency is
+ * an MSE regression of log(ms), as BRP-NAS trains a GCN regressor per
+ * device. Rows are (100 - predicted accuracy %, predicted latency ms).
+ */
+class BrpNas : public TwoSurrogateBaseline
 {
   public:
     BrpNas(const core::EncoderConfig &enc_cfg,
-           nasbench::DatasetId dataset, std::uint64_t seed);
-
-    // Surrogate interface -------------------------------------------
-
-    std::string name() const override { return "BRP-NAS"; }
-    search::EvalKind evalKind() const override
+           nasbench::DatasetId dataset, std::uint64_t seed)
+        : TwoSurrogateBaseline(kBrpNasMethod, enc_cfg, dataset, seed)
     {
-        return search::EvalKind::ObjectiveVector;
     }
-    std::size_t numObjectives() const override { return 2; }
-
-    /** Reseed from @p ctx and train both predictors. */
-    void fit(const core::SurrogateDataset &data,
-             ExecContext &ctx) override;
-
-    /** (100 - predicted accuracy %, predicted latency ms) rows. */
-    Matrix objectivesBatch(
-        std::span<const nasbench::Architecture> archs) const override;
-
-    /**
-     * Fused pass: both predictors run per chunk against the plan's
-     * recycled scratch, so each chunk is encoded and scored for
-     * accuracy and latency before moving on. Bit-identical to
-     * objectivesBatch(), which routes through a per-call plan.
-     */
-    const Matrix &
-    predictBatch(std::span<const nasbench::Architecture> archs,
-                 core::BatchPlan &plan) const override;
-
-    /**
-     * Rank-only fast path: both predictors run their memoized
-     * frozen-encoder + int8-head rank kernels per chunk, with the
-     * same output transforms as predictBatch (monotone per column, so
-     * ranking semantics match). GBDT-backed predictors fall back to
-     * predictBatch, which already runs the flattened-forest descent.
-     */
-    const Matrix &
-    rankBatch(std::span<const nasbench::Architecture> archs,
-              core::BatchPlan &plan) const override;
-
-    std::string familyLabel() const override { return "brpnas"; }
-
-    // ---------------------------------------------------------------
-
-    /**
-     * Train both predictors. Accuracy uses GCN encoding with the
-     * binary-relation-style ranking objective (hinge) plus MSE;
-     * latency uses GCN encoding with MSE (BRP-NAS trains a GCN
-     * regressor per device).
-     */
-    void train(const std::vector<const nasbench::ArchRecord *> &train,
-               const std::vector<const nasbench::ArchRecord *> &val,
-               hw::PlatformId platform,
-               const core::PredictorTrainConfig &base_cfg = {});
-
-    std::vector<double>
-    predictAccuracy(std::span<const nasbench::Architecture> a) const;
-    std::vector<double>
-    predictLatency(std::span<const nasbench::Architecture> a) const;
-
-    /**
-     * Objective-vector evaluator (100 - predicted accuracy, predicted
-     * latency). The BrpNas object must outlive the evaluator.
-     */
-    core::SurrogateEvaluator evaluator() const;
-
-    hw::PlatformId platform() const { return platform_; }
-
-    /**
-     * Serialize both trained predictors into an atomic CRC-checked
-     * checkpoint (kind "brpnas").
-     */
-    bool save(const std::string &path) const override;
-
-    /**
-     * Restore a baseline written by save(). Returns nullptr on
-     * corruption, format or shape mismatch.
-     */
-    static std::unique_ptr<BrpNas> load(const std::string &path);
-
-  private:
-    core::EncoderConfig encCfg_;
-    nasbench::DatasetId dataset_;
-    std::uint64_t seed_;
-    hw::PlatformId platform_ = hw::PlatformId::EdgeGpu;
-    std::unique_ptr<core::MetricPredictor> accuracy_;
-    std::unique_ptr<core::MetricPredictor> latency_;
 };
 
 } // namespace hwpr::baselines

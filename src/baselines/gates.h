@@ -10,105 +10,23 @@
 #ifndef HWPR_BASELINES_GATES_H
 #define HWPR_BASELINES_GATES_H
 
-#include <memory>
-#include <span>
-
-#include "core/predictor.h"
-#include "core/surrogate.h"
+#include "baselines/two_surrogate.h"
 
 namespace hwpr::baselines
 {
 
-/** Pairwise-ranking GCN baseline. */
-class Gates : public core::Surrogate
+/**
+ * Pairwise-ranking GCN baseline. Rows are (-accuracy score, latency
+ * score), both minimized by the search.
+ */
+class Gates : public TwoSurrogateBaseline
 {
   public:
     Gates(const core::EncoderConfig &enc_cfg,
-          nasbench::DatasetId dataset, std::uint64_t seed);
-
-    // Surrogate interface -------------------------------------------
-
-    std::string name() const override { return "GATES"; }
-    search::EvalKind evalKind() const override
+          nasbench::DatasetId dataset, std::uint64_t seed)
+        : TwoSurrogateBaseline(kGatesMethod, enc_cfg, dataset, seed)
     {
-        return search::EvalKind::ObjectiveVector;
     }
-    std::size_t numObjectives() const override { return 2; }
-
-    /** Reseed from @p ctx and train both ranking predictors. */
-    void fit(const core::SurrogateDataset &data,
-             ExecContext &ctx) override;
-
-    /** (-accuracy score, latency score) rows, both minimized. */
-    Matrix objectivesBatch(
-        std::span<const nasbench::Architecture> archs) const override;
-
-    /**
-     * Fused pass: both ranking predictors run per chunk against the
-     * plan's recycled scratch. Bit-identical to objectivesBatch(),
-     * which routes through a per-call plan.
-     */
-    const Matrix &
-    predictBatch(std::span<const nasbench::Architecture> archs,
-                 core::BatchPlan &plan) const override;
-
-    /**
-     * Rank-only fast path: both ranking predictors run their memoized
-     * frozen-encoder + int8-head rank kernels per chunk. The output
-     * transforms match predictBatch() (negation / identity — both
-     * monotone per column), so dominance comparisons are preserved.
-     * GBDT-backed predictors fall back to predictBatch.
-     */
-    const Matrix &
-    rankBatch(std::span<const nasbench::Architecture> archs,
-              core::BatchPlan &plan) const override;
-
-    std::string familyLabel() const override { return "gates"; }
-
-    // ---------------------------------------------------------------
-
-    /** Train the accuracy and latency ranking predictors. */
-    void train(const std::vector<const nasbench::ArchRecord *> &train,
-               const std::vector<const nasbench::ArchRecord *> &val,
-               hw::PlatformId platform,
-               const core::PredictorTrainConfig &base_cfg = {});
-
-    /** Accuracy ranking scores (higher = more accurate). */
-    std::vector<double>
-    accuracyScores(std::span<const nasbench::Architecture> a) const;
-
-    /** Latency ranking scores (higher = slower). */
-    std::vector<double>
-    latencyScores(std::span<const nasbench::Architecture> a) const;
-
-    /**
-     * Objective-vector evaluator (-accuracy score, latency score);
-     * both objectives are minimized by the search. The Gates object
-     * must outlive the evaluator.
-     */
-    core::SurrogateEvaluator evaluator() const;
-
-    hw::PlatformId platform() const { return platform_; }
-
-    /**
-     * Serialize both trained ranking predictors into an atomic
-     * CRC-checked checkpoint (kind "gates").
-     */
-    bool save(const std::string &path) const override;
-
-    /**
-     * Restore a baseline written by save(). Returns nullptr on
-     * corruption, format or shape mismatch.
-     */
-    static std::unique_ptr<Gates> load(const std::string &path);
-
-  private:
-    core::EncoderConfig encCfg_;
-    nasbench::DatasetId dataset_;
-    std::uint64_t seed_;
-    hw::PlatformId platform_ = hw::PlatformId::EdgeGpu;
-    std::unique_ptr<core::MetricPredictor> accuracy_;
-    std::unique_ptr<core::MetricPredictor> latency_;
 };
 
 } // namespace hwpr::baselines

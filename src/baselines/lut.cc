@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "common/logging.h"
-#include "common/obs.h"
 #include "common/serialize.h"
 #include "nasbench/dataset_id.h"
 #include "nasbench/space.h"
@@ -19,6 +18,7 @@ LatencyLut::LatencyLut(nasbench::DatasetId dataset,
     : dataset_(dataset), platform_(platform),
       model_(hw::costModelFor(platform))
 {
+    archMemo_.init(1);
 }
 
 std::uint64_t
@@ -61,26 +61,6 @@ LatencyLut::opLatencySec(const hw::OpWorkload &op) const
     return lat;
 }
 
-double
-LatencyLut::archLatencyMs(const nasbench::Architecture &arch) const
-{
-    const std::uint64_t k = arch.hash(0x1a7ec4c4e11ull);
-    {
-        std::shared_lock lock(archMu_);
-        auto it = archMemo_.find(k);
-        if (it != archMemo_.end())
-            return it->second;
-    }
-    const double ms = estimateMs(arch);
-    // Bounded like core::EncodingCache: past the cap the memo stops
-    // growing and misses just recompute (still correct, just slower).
-    constexpr std::size_t kMaxMemo = std::size_t(1) << 20;
-    std::unique_lock lock(archMu_);
-    if (archMemo_.size() < kMaxMemo)
-        archMemo_.emplace(k, ms);
-    return ms;
-}
-
 void
 LatencyLut::build(
     const std::vector<nasbench::Architecture> &calibration)
@@ -101,17 +81,6 @@ LatencyLut::estimateMs(const nasbench::Architecture &arch) const
     return total * 1e3;
 }
 
-std::vector<double>
-LatencyLut::estimate(
-    std::span<const nasbench::Architecture> archs) const
-{
-    std::vector<double> out;
-    out.reserve(archs.size());
-    for (const auto &arch : archs)
-        out.push_back(estimateMs(arch));
-    return out;
-}
-
 void
 LatencyLut::fit(const core::SurrogateDataset &data, ExecContext &)
 {
@@ -124,62 +93,33 @@ LatencyLut::fit(const core::SurrogateDataset &data, ExecContext &)
     build(calibration);
 }
 
-Matrix
-LatencyLut::objectivesBatch(
-    std::span<const nasbench::Architecture> archs) const
+void
+LatencyLut::predictInto(std::span<const nasbench::Architecture> archs,
+                        core::BatchPlan &plan, Matrix &out) const
 {
-    HWPR_SPAN("surrogate.predict_batch",
-              {{"rows", double(archs.size())}});
-    static obs::Histogram &batch_hist = obs::Registry::global()
-        .histogram("surrogate.predict_batch.us");
-    obs::ScopedTimer batch_timer(batch_hist);
-    if (obs::metricsEnabled()) {
-        static obs::Counter &rows = obs::Registry::global().counter(
-            "surrogate.predict_batch.rows");
-        rows.add(archs.size());
-    }
-    Matrix out(archs.size(), 1);
-    for (std::size_t i = 0; i < archs.size(); ++i)
-        out(i, 0) = estimateMs(archs[i]);
-    return out;
-}
-
-const Matrix &
-LatencyLut::predictBatch(std::span<const nasbench::Architecture> archs,
-                         core::BatchPlan &plan) const
-{
-    HWPR_SPAN("surrogate.predict_batch",
-              {{"rows", double(archs.size())}});
-    static obs::Histogram &batch_hist = obs::Registry::global()
-        .histogram("surrogate.predict_batch.us");
-    obs::ScopedTimer batch_timer(batch_hist);
-    if (obs::metricsEnabled()) {
-        static obs::Counter &rows = obs::Registry::global().counter(
-            "surrogate.predict_batch.rows");
-        rows.add(archs.size());
-    }
-    Matrix &out = plan.prepare(archs.size(), 1);
     plan.forEachChunk(
         "lut",
         [&](nn::PredictScratch &, std::size_t i0, std::size_t i1) {
             for (std::size_t i = i0; i < i1; ++i)
                 out(i, 0) = estimateMs(archs[i]);
         });
-    return out;
 }
 
-const Matrix &
-LatencyLut::rankBatch(std::span<const nasbench::Architecture> archs,
-                      core::BatchPlan &plan) const
+void
+LatencyLut::rankInto(std::span<const nasbench::Architecture> archs,
+                     core::BatchPlan &plan, Matrix &out) const
 {
-    Matrix &out = plan.prepare(archs.size(), 1);
     plan.forEachChunk(
         "lut_rank",
         [&](nn::PredictScratch &, std::size_t i0, std::size_t i1) {
-            for (std::size_t i = i0; i < i1; ++i)
-                out(i, 0) = archLatencyMs(archs[i]);
+            for (std::size_t i = i0; i < i1; ++i) {
+                double &ms = out(i, 0);
+                if (!archMemo_.lookup(archs[i], &ms)) {
+                    ms = estimateMs(archs[i]);
+                    archMemo_.insert(archs[i], &ms);
+                }
+            }
         });
-    return out;
 }
 
 bool

@@ -21,6 +21,7 @@
 #include <span>
 #include <unordered_map>
 
+#include "core/rank_cache.h"
 #include "core/surrogate.h"
 #include "hw/cost_model.h"
 #include "nasbench/dataset.h"
@@ -50,34 +51,8 @@ class LatencyLut : public core::Surrogate
     void fit(const core::SurrogateDataset &data,
              ExecContext &ctx) override;
 
-    /**
-     * (estimated latency ms) rows. Kept serial: on-demand profiling
-     * memoizes into the shared table.
-     */
-    Matrix objectivesBatch(
-        std::span<const nasbench::Architecture> archs) const override;
-
-    /**
-     * Plan-backed variant filling the plan's (n x 1) output. Chunks
-     * fan out over the pool like every other family; the memoized
-     * op table is guarded by a shared mutex, and because each entry
-     * is a pure function of the op signature the result is invariant
-     * to which thread profiles an op first.
-     */
-    const Matrix &
-    predictBatch(std::span<const nasbench::Architecture> archs,
-                 core::BatchPlan &plan) const override;
-
-    /**
-     * Rank-only fast path: memoizes the whole-architecture estimate
-     * keyed by the architecture hash, so repeat scoring of a stable
-     * population skips the per-op lowering and summation entirely.
-     * Values are bitwise-identical to predictBatch() (same sum, just
-     * cached), so ranking semantics are exact, not approximate.
-     */
-    const Matrix &
-    rankBatch(std::span<const nasbench::Architecture> archs,
-              core::BatchPlan &plan) const override;
+    /** Profiles on demand, so it can always predict. */
+    bool trained() const override { return true; }
 
     std::string familyLabel() const override { return "lut"; }
 
@@ -95,10 +70,6 @@ class LatencyLut : public core::Surrogate
      * profiled on demand, as deployed LUT flows do.
      */
     double estimateMs(const nasbench::Architecture &arch) const;
-
-    /** Batch variant of estimateMs. */
-    std::vector<double>
-    estimate(std::span<const nasbench::Architecture> archs) const;
 
     /** Number of distinct operator signatures profiled so far. */
     std::size_t numEntries() const
@@ -122,15 +93,34 @@ class LatencyLut : public core::Surrogate
      */
     static std::unique_ptr<LatencyLut> load(const std::string &path);
 
+  protected:
+    /**
+     * (estimated latency ms) rows. Chunks fan out over the pool like
+     * every other family; the memoized op table is guarded by a
+     * shared mutex, and because each entry is a pure function of the
+     * op signature the result is invariant to which thread profiles
+     * an op first.
+     */
+    void predictInto(std::span<const nasbench::Architecture> archs,
+                     core::BatchPlan &plan, Matrix &out) const override;
+
+    /**
+     * Rank-only fast path: memoizes the whole-architecture estimate
+     * in a width-1 core::EncodingCache (genome-checked, so a hash
+     * collision is a miss), letting repeat scoring of a stable
+     * population skip the per-op lowering and summation entirely.
+     * Values are bitwise-identical to predictBatch() (same sum, just
+     * cached), so ranking semantics are exact, not approximate.
+     */
+    void rankInto(std::span<const nasbench::Architecture> archs,
+                  core::BatchPlan &plan, Matrix &out) const override;
+
   private:
     /** Canonical signature of an operator workload. */
     static std::uint64_t key(const hw::OpWorkload &op);
 
     /** Isolated latency of one operator (memoized). */
     double opLatencySec(const hw::OpWorkload &op) const;
-
-    /** Memoized estimateMs() for one architecture (rank fast path). */
-    double archLatencyMs(const nasbench::Architecture &arch) const;
 
     nasbench::DatasetId dataset_;
     hw::PlatformId platform_;
@@ -143,8 +133,8 @@ class LatencyLut : public core::Surrogate
      */
     mutable std::shared_mutex tableMu_;
     mutable std::unordered_map<std::uint64_t, double> table_;
-    mutable std::shared_mutex archMu_;
-    mutable std::unordered_map<std::uint64_t, double> archMemo_;
+    /** Whole-architecture estimates of the rank path. */
+    mutable core::EncodingCache archMemo_;
 };
 
 } // namespace hwpr::baselines

@@ -2,9 +2,8 @@
 
 #include <mutex>
 
-#include "baselines/brpnas.h"
-#include "baselines/gates.h"
 #include "baselines/lut.h"
+#include "baselines/two_surrogate.h"
 #include "core/surrogate.h"
 
 namespace hwpr::baselines
@@ -15,16 +14,14 @@ registerBaselineLoaders()
 {
     static std::once_flag flag;
     std::call_once(flag, [] {
-        core::registerSurrogateLoader(
-            "brpnas",
-            [](const std::string &path) -> std::unique_ptr<core::Surrogate> {
-                return BrpNas::load(path);
-            });
-        core::registerSurrogateLoader(
-            "gates",
-            [](const std::string &path) -> std::unique_ptr<core::Surrogate> {
-                return Gates::load(path);
-            });
+        for (const TwoSurrogateMethod *method :
+             {&kBrpNasMethod, &kGatesMethod})
+            core::registerSurrogateLoader(
+                method->kind,
+                [method](const std::string &path)
+                    -> std::unique_ptr<core::Surrogate> {
+                    return TwoSurrogateBaseline::load(path, *method);
+                });
         core::registerSurrogateLoader(
             "lut",
             [](const std::string &path) -> std::unique_ptr<core::Surrogate> {

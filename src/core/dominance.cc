@@ -72,27 +72,6 @@ DominanceSurrogate::DominanceSurrogate(const DominanceConfig &cfg,
 DominanceSurrogate::~DominanceSurrogate() = default;
 
 void
-DominanceSurrogate::invalidateRankState()
-{
-    rankFrozen_.store(false);
-    rank_.reset();
-}
-
-void
-DominanceSurrogate::ensureRankState() const
-{
-    if (rankFrozen_.load(std::memory_order_acquire))
-        return;
-    std::lock_guard<std::mutex> lock(rankMu_);
-    if (rankFrozen_.load(std::memory_order_relaxed))
-        return;
-    auto state = std::make_unique<RankState>();
-    state->cache.init(encoder_->dim());
-    rank_ = std::move(state);
-    rankFrozen_.store(true, std::memory_order_release);
-}
-
-void
 DominanceSurrogate::buildModel(
     const std::vector<nasbench::Architecture> &scaler_fit,
     double dropout)
@@ -315,7 +294,7 @@ DominanceSurrogate::train(
     for (std::size_t r = 0; r < ref; ++r)
         refArchs_.push_back(train_archs[(r * n) / ref]);
     refreshReferenceEncodings();
-    invalidateRankState();
+    rank_.reset();
     trained_ = true;
 }
 
@@ -354,25 +333,11 @@ DominanceSurrogate::scoreEncodedChunk(const Matrix &enc,
     }
 }
 
-const Matrix &
-DominanceSurrogate::predictBatch(
-    std::span<const nasbench::Architecture> archs,
-    BatchPlan &plan) const
+void
+DominanceSurrogate::predictInto(
+    std::span<const nasbench::Architecture> archs, BatchPlan &plan,
+    Matrix &out) const
 {
-    if (archs.empty()) // no-op contract: no weights touched
-        return plan.prepare(0, 1);
-    HWPR_CHECK(trained_, "predictBatch() before train()");
-    HWPR_SPAN("surrogate.predict_batch",
-              {{"rows", double(archs.size())}});
-    static obs::Histogram &batch_hist = obs::Registry::global()
-        .histogram("surrogate.predict_batch.us");
-    obs::ScopedTimer batch_timer(batch_hist);
-    if (obs::metricsEnabled()) {
-        static obs::Counter &rows = obs::Registry::global().counter(
-            "surrogate.predict_batch.rows");
-        rows.add(archs.size());
-    }
-    Matrix &out = plan.prepare(archs.size(), 1);
     plan.forEachChunk(
         "dominance",
         [&](nn::PredictScratch &s, std::size_t i0, std::size_t i1) {
@@ -381,20 +346,18 @@ DominanceSurrogate::predictBatch(
             const Matrix &enc = encoder_->encodeBatchInto(sub, s);
             scoreEncodedChunk(enc, sub.size(), s, out, i0);
         });
-    return out;
 }
 
-const Matrix &
-DominanceSurrogate::rankBatch(
-    std::span<const nasbench::Architecture> archs,
-    BatchPlan &plan) const
+void
+DominanceSurrogate::rankInto(
+    std::span<const nasbench::Architecture> archs, BatchPlan &plan,
+    Matrix &out) const
 {
-    if (archs.empty())
-        return plan.prepare(0, 1);
-    HWPR_CHECK(trained_, "rankBatch() before train()");
-    ensureRankState();
-    RankState &rank = *rank_;
-    Matrix &out = plan.prepare(archs.size(), 1);
+    RankState &rank = rank_.get([this] {
+        auto state = std::make_unique<RankState>();
+        state->cache.init(encoder_->dim());
+        return state;
+    });
     plan.forEachChunk(
         "dominance_rank",
         [&](nn::PredictScratch &s, std::size_t i0, std::size_t i1) {
@@ -404,7 +367,6 @@ DominanceSurrogate::rankBatch(
             gatherEncodings(*encoder_, sub, rank.cache, s, enc);
             scoreEncodedChunk(enc, sub.size(), s, out, i0);
         });
-    return out;
 }
 
 std::vector<double>
@@ -459,21 +421,6 @@ DominanceSurrogate::dominanceCounts(
     return counts;
 }
 
-std::vector<double>
-DominanceSurrogate::scoreBatch(
-    std::span<const nasbench::Architecture> archs) const
-{
-    if (archs.empty())
-        return {};
-    HWPR_CHECK(trained_, "scoreBatch() before train()");
-    BatchPlan plan;
-    const Matrix &s = predictBatch(archs, plan);
-    std::vector<double> out(archs.size());
-    for (std::size_t i = 0; i < archs.size(); ++i)
-        out[i] = s(i, 0);
-    return out;
-}
-
 double
 DominanceSurrogate::dominanceProb(const nasbench::Architecture &a,
                                   const nasbench::Architecture &b) const
@@ -495,20 +442,12 @@ DominanceSurrogate::save(const std::string &path) const
     return atomicSave(path, [this](BinaryWriter &w) {
         writeHeader(w, "dominance", 1);
 
-        w.writeU64(cfg_.encoder.gcnHidden);
-        w.writeU64(cfg_.encoder.gcnLayers);
-        w.writeU64(cfg_.encoder.lstmHidden);
-        w.writeU64(cfg_.encoder.lstmLayers);
-        w.writeU64(cfg_.encoder.embedDim);
-        w.writeU64(cfg_.encoder.gcnGlobalNode ? 1 : 0);
-        w.writeU64(cfg_.headHidden.size());
-        for (std::size_t h : cfg_.headHidden)
-            w.writeU64(h);
+        writeEncoderConfig(w, cfg_.encoder);
+        writeWidths(w, cfg_.headHidden);
         w.writeU64(cfg_.referenceSize);
         w.writeU64(std::uint64_t(dataset_));
         w.writeU64(std::uint64_t(platform_));
-        w.writeDoubles(encoder_->scaler().mean);
-        w.writeDoubles(encoder_->scaler().std);
+        writeFeatureScaler(w, encoder_->scaler());
 
         // Anchors travel as genomes; their encodings are recomputed
         // at load time from the restored weights (bit-identical).
@@ -541,18 +480,9 @@ DominanceSurrogate::load(const std::string &path)
         return nullptr;
 
     DominanceConfig cfg;
-    cfg.encoder.gcnHidden = std::size_t(r.readU64());
-    cfg.encoder.gcnLayers = std::size_t(r.readU64());
-    cfg.encoder.lstmHidden = std::size_t(r.readU64());
-    cfg.encoder.lstmLayers = std::size_t(r.readU64());
-    cfg.encoder.embedDim = std::size_t(r.readU64());
-    cfg.encoder.gcnGlobalNode = r.readU64() != 0;
-    const std::uint64_t num_hidden = r.readU64();
-    if (!r.ok() || num_hidden > 64)
+    if (!readEncoderConfig(r, cfg.encoder) ||
+        !readWidths(r, cfg.headHidden))
         return nullptr;
-    cfg.headHidden.resize(num_hidden);
-    for (auto &h : cfg.headHidden)
-        h = std::size_t(r.readU64());
     cfg.referenceSize = std::size_t(r.readU64());
     const std::uint64_t dataset_raw = r.readU64();
     const std::uint64_t platform_raw = r.readU64();
@@ -561,9 +491,7 @@ DominanceSurrogate::load(const std::string &path)
         return nullptr;
     const auto dataset = nasbench::DatasetId(dataset_raw);
     const auto platform = hw::PlatformId(platform_raw);
-    nasbench::FeatureScaler scaler;
-    scaler.mean = r.readDoubles();
-    scaler.std = r.readDoubles();
+    nasbench::FeatureScaler scaler = readFeatureScaler(r);
     if (!r.ok())
         return nullptr;
 

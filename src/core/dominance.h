@@ -29,13 +29,12 @@
 #ifndef HWPR_CORE_DOMINANCE_H
 #define HWPR_CORE_DOMINANCE_H
 
-#include <atomic>
 #include <memory>
-#include <mutex>
 #include <span>
 
 #include "core/encoding.h"
 #include "core/hwprnas.h"
+#include "core/rank_cache.h"
 #include "core/surrogate.h"
 #include "nn/layers.h"
 #include "pareto/pareto.h"
@@ -99,32 +98,7 @@ class DominanceSurrogate : public Surrogate
      */
     void fit(const SurrogateDataset &data, ExecContext &ctx) override;
 
-    /** Mean anchor-dominance probabilities (higher = better). */
-    std::vector<double> scoreBatch(
-        std::span<const nasbench::Architecture> archs) const override;
-
-    /**
-     * Fused encode + pairwise-head pass against the plan's recycled
-     * scratch: each chunk encodes its rows, stacks the per-anchor
-     * embedding differences and runs one head pass, then averages the
-     * sigmoid per row. Bit-identical to scoreBatch() at any thread
-     * count and batch composition.
-     */
-    const Matrix &
-    predictBatch(std::span<const nasbench::Architecture> archs,
-                 BatchPlan &plan) const override;
-
-    /**
-     * Rank-only fast path: memoized frozen-encoder encodings
-     * (EncodingCache) feeding the same fp64 head. The head is two
-     * tiny GEMMs over referenceSize rows — the encoder dominates the
-     * cost — so unlike the score families the head is NOT quantized:
-     * rankBatch is bit-identical to predictBatch (tau = 1) and the
-     * speedup comes entirely from encoding memoization.
-     */
-    const Matrix &
-    rankBatch(std::span<const nasbench::Architecture> archs,
-              BatchPlan &plan) const override;
+    bool trained() const override { return trained_; }
 
     std::string familyLabel() const override { return "dominance"; }
 
@@ -160,7 +134,6 @@ class DominanceSurrogate : public Surrogate
                          const nasbench::Architecture &b) const;
 
     hw::PlatformId platform() const { return platform_; }
-    bool trained() const { return trained_; }
     /** Reference anchors of the scalar score (frozen at train end). */
     const std::vector<nasbench::Architecture> &referenceArchs() const
     {
@@ -174,6 +147,28 @@ class DominanceSurrogate : public Surrogate
     static std::unique_ptr<DominanceSurrogate>
     load(const std::string &path);
 
+  protected:
+    /**
+     * Fused encode + pairwise-head pass: each chunk encodes its rows,
+     * stacks the per-anchor embedding differences and runs one head
+     * pass, then averages the sigmoid per row (mean anchor-dominance
+     * probability, higher = better). Bit-identical at any thread
+     * count and batch composition.
+     */
+    void predictInto(std::span<const nasbench::Architecture> archs,
+                     BatchPlan &plan, Matrix &out) const override;
+
+    /**
+     * Rank-only fast path: memoized frozen-encoder encodings
+     * (EncodingCache) feeding the same fp64 head. The head is two
+     * tiny GEMMs over referenceSize rows — the encoder dominates the
+     * cost — so unlike the score families the head is NOT quantized:
+     * rankBatch is bit-identical to predictBatch (tau = 1) and the
+     * speedup comes entirely from encoding memoization.
+     */
+    void rankInto(std::span<const nasbench::Architecture> archs,
+                  BatchPlan &plan, Matrix &out) const override;
+
   private:
     void buildModel(
         const std::vector<nasbench::Architecture> &scaler_fit,
@@ -182,7 +177,7 @@ class DominanceSurrogate : public Surrogate
     /** Re-encode the anchors with the current (final) weights. */
     void refreshReferenceEncodings();
 
-    /** Shared chunk body of predictBatch/rankBatch: anchor-mean
+    /** Shared chunk body of predictInto/rankInto: anchor-mean
      *  sigmoid scores of pre-encoded rows. */
     void scoreEncodedChunk(const Matrix &enc, std::size_t rows,
                            nn::PredictScratch &s, Matrix &out,
@@ -200,13 +195,9 @@ class DominanceSurrogate : public Surrogate
     Matrix refEnc_;
     bool trained_ = false;
 
-    /** Lazily frozen rank-path state; see HwPrNas::RankState. */
+    /** Frozen rank-path state; see HwPrNas::RankState. */
     struct RankState;
-    void ensureRankState() const;
-    void invalidateRankState();
-    mutable std::unique_ptr<RankState> rank_;
-    mutable std::mutex rankMu_;
-    mutable std::atomic<bool> rankFrozen_{false};
+    RankFreeze<RankState> rank_;
 };
 
 } // namespace hwpr::core

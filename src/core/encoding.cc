@@ -311,4 +311,83 @@ ArchEncoder::params() const
     return out;
 }
 
+namespace
+{
+
+/** Bounds of the shape readers (see encoding.h). */
+constexpr std::size_t kMaxCheckpointDim = std::size_t(1) << 16;
+constexpr std::size_t kMaxCheckpointLayers = 64;
+
+} // namespace
+
+void
+writeEncoderConfig(BinaryWriter &w, const EncoderConfig &cfg,
+                   bool global_node_field)
+{
+    w.writeU64(cfg.gcnHidden);
+    w.writeU64(cfg.gcnLayers);
+    w.writeU64(cfg.lstmHidden);
+    w.writeU64(cfg.lstmLayers);
+    w.writeU64(cfg.embedDim);
+    if (global_node_field)
+        w.writeU64(cfg.gcnGlobalNode ? 1 : 0);
+}
+
+bool
+readEncoderConfig(BinaryReader &r, EncoderConfig &cfg,
+                  bool global_node_field)
+{
+    cfg.gcnHidden = std::size_t(r.readU64());
+    cfg.gcnLayers = std::size_t(r.readU64());
+    cfg.lstmHidden = std::size_t(r.readU64());
+    cfg.lstmLayers = std::size_t(r.readU64());
+    cfg.embedDim = std::size_t(r.readU64());
+    if (global_node_field)
+        cfg.gcnGlobalNode = r.readU64() != 0;
+    return r.ok() && cfg.gcnHidden <= kMaxCheckpointDim &&
+           cfg.gcnLayers <= kMaxCheckpointLayers &&
+           cfg.lstmHidden <= kMaxCheckpointDim &&
+           cfg.lstmLayers <= kMaxCheckpointLayers &&
+           cfg.embedDim <= kMaxCheckpointDim;
+}
+
+void
+writeWidths(BinaryWriter &w, const std::vector<std::size_t> &widths)
+{
+    w.writeU64(widths.size());
+    for (std::size_t h : widths)
+        w.writeU64(h);
+}
+
+bool
+readWidths(BinaryReader &r, std::vector<std::size_t> &widths)
+{
+    const std::uint64_t count = r.readU64();
+    if (!r.ok() || count > kMaxCheckpointLayers)
+        return false;
+    widths.resize(count);
+    for (auto &h : widths) {
+        h = std::size_t(r.readU64());
+        if (!r.ok() || h == 0 || h > kMaxCheckpointDim)
+            return false;
+    }
+    return true;
+}
+
+void
+writeFeatureScaler(BinaryWriter &w, const nasbench::FeatureScaler &scaler)
+{
+    w.writeDoubles(scaler.mean);
+    w.writeDoubles(scaler.std);
+}
+
+nasbench::FeatureScaler
+readFeatureScaler(BinaryReader &r)
+{
+    nasbench::FeatureScaler s;
+    s.mean = r.readDoubles();
+    s.std = r.readDoubles();
+    return s;
+}
+
 } // namespace hwpr::core

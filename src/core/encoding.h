@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "common/serialize.h"
 #include "nasbench/dataset.h"
 #include "nasbench/features.h"
 #include "nn/gcn.h"
@@ -166,6 +167,33 @@ class ArchEncoder : public nn::Module
     std::unique_ptr<nn::GcnEncoder> gcn_;
     std::size_t dim_ = 0;
 };
+
+/// @name Checkpoint I/O of model shapes, shared by every format.
+/// The readers bound what they accept before anything is allocated
+/// from it: widths and hidden sizes at most 2^16, layer and width
+/// counts at most 64, hidden widths nonzero. They return false on
+/// truncation or a field out of bounds.
+/// @{
+
+/**
+ * Encoder sizes in field order gcnHidden, gcnLayers, lstmHidden,
+ * lstmLayers, embedDim, then gcnGlobalNode when @p global_node_field
+ * (HW-PR-NAS v2 files predate that field).
+ */
+void writeEncoderConfig(BinaryWriter &w, const EncoderConfig &cfg,
+                        bool global_node_field = true);
+bool readEncoderConfig(BinaryReader &r, EncoderConfig &cfg,
+                       bool global_node_field = true);
+
+/** A hidden-width list: count, then one width each. */
+void writeWidths(BinaryWriter &w, const std::vector<std::size_t> &widths);
+bool readWidths(BinaryReader &r, std::vector<std::size_t> &widths);
+
+/** Feature-scaler moments (mean, then std). */
+void writeFeatureScaler(BinaryWriter &w,
+                        const nasbench::FeatureScaler &scaler);
+nasbench::FeatureScaler readFeatureScaler(BinaryReader &r);
+/// @}
 
 } // namespace hwpr::core
 

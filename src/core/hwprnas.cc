@@ -19,11 +19,8 @@
 namespace hwpr::core
 {
 
-/**
- * Frozen rank-path state: int8 snapshots of the three MLP stages plus
- * encoding memo tables per branch. Built lazily on the first
- * rankBatch() after training, dropped by the next train.
- */
+/** Frozen rank-path state: int8 snapshots of the three MLP stages
+ *  plus encoding memo tables per branch. */
 struct HwPrNas::RankState
 {
     nn::QuantizedMlp accHead;
@@ -349,7 +346,7 @@ HwPrNas::train(const std::vector<const nasbench::ArchRecord *> &train,
             }
         }
     }
-    invalidateRankState();
+    rank_.reset();
     trained_ = true;
 }
 
@@ -589,28 +586,16 @@ HwPrNas::trainMultiPlatform(
         }
     }
     restoreParams(params, best_params);
-    invalidateRankState();
+    rank_.reset();
     trained_ = true;
 }
 
 void
 HwPrNas::fusedForward(std::span<const nasbench::Architecture> archs,
-                      std::size_t head, BatchPlan &plan,
+                      std::size_t head, BatchPlan &plan, Matrix &out,
                       RawForward *aux) const
 {
-    HWPR_SPAN("surrogate.predict_batch",
-              {{"rows", double(archs.size())}});
-    static obs::Histogram &batch_hist = obs::Registry::global()
-        .histogram("surrogate.predict_batch.us");
-    obs::ScopedTimer batch_timer(batch_hist);
-    if (obs::metricsEnabled()) {
-        static obs::Counter &rows = obs::Registry::global().counter(
-            "surrogate.predict_batch.rows");
-        rows.add(archs.size());
-    }
-    Matrix &out = plan.prepare(archs.size(), 1);
     if (aux) {
-        aux->score.resize(archs.size());
         aux->accNorm.resize(archs.size());
         aux->latNorm.resize(archs.size());
     }
@@ -640,7 +625,6 @@ HwPrNas::fusedForward(std::span<const nasbench::Architecture> archs,
             for (std::size_t i = i0; i < i1; ++i) {
                 out(i, 0) = score(i - i0, 0);
                 if (aux) {
-                    aux->score[i] = score(i - i0, 0);
                     aux->accNorm[i] = acc(i - i0, 0);
                     aux->latNorm[i] = lat(i - i0, 0);
                 }
@@ -652,61 +636,36 @@ HwPrNas::RawForward
 HwPrNas::rawForward(std::span<const nasbench::Architecture> archs,
                     std::size_t head) const
 {
+    HWPR_CHECK(trained_, "prediction before train()");
     RawForward out;
     BatchPlan plan;
-    fusedForward(archs, head, plan, &out);
+    fusedForward(archs, head, plan, plan.prepare(archs.size(), 1), &out);
     return out;
 }
 
-const Matrix &
-HwPrNas::predictBatch(std::span<const nasbench::Architecture> archs,
-                      BatchPlan &plan) const
+void
+HwPrNas::predictInto(std::span<const nasbench::Architecture> archs,
+                     BatchPlan &plan, Matrix &out) const
 {
-    if (archs.empty()) // no-op contract: no weights touched
-        return plan.prepare(0, 1);
-    HWPR_CHECK(trained_, "predictBatch() before train()");
-    fusedForward(archs, headIndex(platform_), plan, nullptr);
-    return plan.output();
+    fusedForward(archs, headIndex(platform_), plan, out, nullptr);
 }
 
 void
-HwPrNas::invalidateRankState()
+HwPrNas::rankInto(std::span<const nasbench::Architecture> archs,
+                  BatchPlan &plan, Matrix &out) const
 {
-    rankFrozen_.store(false);
-    rank_.reset();
-}
-
-void
-HwPrNas::ensureRankState() const
-{
-    if (rankFrozen_.load(std::memory_order_acquire))
-        return;
-    std::lock_guard<std::mutex> lock(rankMu_);
-    if (rankFrozen_.load(std::memory_order_relaxed))
-        return;
-    auto state = std::make_unique<RankState>();
-    state->accHead = nn::QuantizedMlp(*accHead_);
-    state->latHeads.reserve(latHeads_.size());
-    for (const auto &head : latHeads_)
-        state->latHeads.emplace_back(*head);
-    state->combiner = nn::QuantizedMlp(*combiner_);
-    state->accCache.init(accEncoder_->dim());
-    state->latCache.init(latEncoder_->dim());
-    rank_ = std::move(state);
-    rankFrozen_.store(true, std::memory_order_release);
-}
-
-const Matrix &
-HwPrNas::rankBatch(std::span<const nasbench::Architecture> archs,
-                   BatchPlan &plan) const
-{
-    if (archs.empty())
-        return plan.prepare(0, 1);
-    HWPR_CHECK(trained_, "rankBatch() before train()");
-    ensureRankState();
     const std::size_t head = headIndex(platform_);
-    RankState &rank = *rank_;
-    Matrix &out = plan.prepare(archs.size(), 1);
+    RankState &rank = rank_.get([this] {
+        auto state = std::make_unique<RankState>();
+        state->accHead = nn::QuantizedMlp(*accHead_);
+        state->latHeads.reserve(latHeads_.size());
+        for (const auto &h : latHeads_)
+            state->latHeads.emplace_back(*h);
+        state->combiner = nn::QuantizedMlp(*combiner_);
+        state->accCache.init(accEncoder_->dim());
+        state->latCache.init(latEncoder_->dim());
+        return state;
+    });
     plan.forEachChunk(
         "hwprnas_rank",
         [&](nn::PredictScratch &s, std::size_t i0, std::size_t i1) {
@@ -733,7 +692,6 @@ HwPrNas::rankBatch(std::span<const nasbench::Architecture> archs,
             for (std::size_t i = i0; i < i1; ++i)
                 out(i, 0) = score(i - i0, 0);
         });
-    return out;
 }
 
 void
@@ -744,53 +702,10 @@ HwPrNas::fit(const SurrogateDataset &data, ExecContext &ctx)
 }
 
 std::vector<double>
-HwPrNas::scoreBatch(
-    std::span<const nasbench::Architecture> archs) const
-{
-    if (archs.empty())
-        return {};
-    HWPR_CHECK(trained_, "scoreBatch() before train()");
-    return rawForward(archs, headIndex(platform_)).score;
-}
-
-Matrix
-HwPrNas::objectivesBatch(
-    std::span<const nasbench::Architecture> archs) const
-{
-    if (archs.empty())
-        return Matrix(0, 2);
-    HWPR_CHECK(trained_, "objectivesBatch() before train()");
-    const std::size_t head = headIndex(platform_);
-    const RawForward f = rawForward(archs, head);
-    Matrix out(archs.size(), 2);
-    for (std::size_t i = 0; i < archs.size(); ++i) {
-        out(i, 0) = 100.0 - accScaler_.denorm(f.accNorm[i]);
-        out(i, 1) =
-            std::exp(latScalers_[head].denorm(f.latNorm[i]));
-    }
-    return out;
-}
-
-std::vector<double>
-HwPrNas::scores(const std::vector<nasbench::Architecture> &archs) const
-{
-    return scoreBatch(archs);
-}
-
-std::vector<double>
-HwPrNas::scoresFor(const std::vector<nasbench::Architecture> &archs,
-                   hw::PlatformId platform) const
-{
-    HWPR_CHECK(trained_, "scoresFor() before train()");
-    return rawForward(archs, headIndex(platform)).score;
-}
-
-std::vector<double>
 HwPrNas::predictLatencyFor(
     const std::vector<nasbench::Architecture> &archs,
     hw::PlatformId platform) const
 {
-    HWPR_CHECK(trained_, "predictLatencyFor() before train()");
     const std::size_t head = headIndex(platform);
     const RawForward f = rawForward(archs, head);
     std::vector<double> out(archs.size());
@@ -803,7 +718,6 @@ std::vector<double>
 HwPrNas::predictAccuracy(
     const std::vector<nasbench::Architecture> &archs) const
 {
-    HWPR_CHECK(trained_, "predictAccuracy() before train()");
     const RawForward f = rawForward(archs, headIndex(platform_));
     std::vector<double> out(archs.size());
     for (std::size_t i = 0; i < archs.size(); ++i)
@@ -820,23 +734,6 @@ HwPrNas::predictLatency(
 
 namespace
 {
-
-void
-writeFeatureScaler(BinaryWriter &w,
-                   const nasbench::FeatureScaler &scaler)
-{
-    w.writeDoubles(scaler.mean);
-    w.writeDoubles(scaler.std);
-}
-
-nasbench::FeatureScaler
-readFeatureScaler(BinaryReader &r)
-{
-    nasbench::FeatureScaler s;
-    s.mean = r.readDoubles();
-    s.std = r.readDoubles();
-    return s;
-}
 
 void
 writeTargetScaler(BinaryWriter &w, const TargetScaler &scaler)
@@ -871,17 +768,9 @@ HwPrNas::writeBody(BinaryWriter &w) const
     writeHeader(w, "hwprnas", 2);
 
     // Configuration.
-    w.writeU64(cfg_.encoder.gcnHidden);
-    w.writeU64(cfg_.encoder.gcnLayers);
-    w.writeU64(cfg_.encoder.lstmHidden);
-    w.writeU64(cfg_.encoder.lstmLayers);
-    w.writeU64(cfg_.encoder.embedDim);
-    w.writeU64(cfg_.headHidden.size());
-    for (std::size_t h : cfg_.headHidden)
-        w.writeU64(h);
-    w.writeU64(cfg_.combinerHidden.size());
-    for (std::size_t h : cfg_.combinerHidden)
-        w.writeU64(h);
+    writeEncoderConfig(w, cfg_.encoder, /*global_node_field=*/false);
+    writeWidths(w, cfg_.headHidden);
+    writeWidths(w, cfg_.combinerHidden);
     w.writeU64(cfg_.useArchFeatures ? 1 : 0);
     w.writeDouble(cfg_.rmseWeight);
     w.writeU64(cfg_.sharedLatencyHead ? 1 : 0);
@@ -914,23 +803,10 @@ HwPrNas::load(const std::string &path)
         return nullptr;
 
     HwPrNasConfig cfg;
-    cfg.encoder.gcnHidden = std::size_t(r.readU64());
-    cfg.encoder.gcnLayers = std::size_t(r.readU64());
-    cfg.encoder.lstmHidden = std::size_t(r.readU64());
-    cfg.encoder.lstmLayers = std::size_t(r.readU64());
-    cfg.encoder.embedDim = std::size_t(r.readU64());
-    const std::uint64_t num_head = r.readU64();
-    if (!r.ok() || num_head > 64)
+    if (!readEncoderConfig(r, cfg.encoder, /*global_node_field=*/false) ||
+        !readWidths(r, cfg.headHidden) ||
+        !readWidths(r, cfg.combinerHidden))
         return nullptr;
-    cfg.headHidden.resize(num_head);
-    for (auto &h : cfg.headHidden)
-        h = std::size_t(r.readU64());
-    const std::uint64_t num_combiner = r.readU64();
-    if (!r.ok() || num_combiner > 64)
-        return nullptr;
-    cfg.combinerHidden.resize(num_combiner);
-    for (auto &h : cfg.combinerHidden)
-        h = std::size_t(r.readU64());
     cfg.useArchFeatures = r.readU64() != 0;
     cfg.rmseWeight = r.readDouble();
     cfg.sharedLatencyHead = r.readU64() != 0;

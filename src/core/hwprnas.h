@@ -24,13 +24,12 @@
 #define HWPR_CORE_HWPRNAS_H
 
 #include <array>
-#include <atomic>
 #include <memory>
-#include <mutex>
 #include <span>
 
 #include "common/serialize.h"
 #include "core/encoding.h"
+#include "core/rank_cache.h"
 #include "core/surrogate.h"
 #include "core/train_util.h"
 #include "hw/platform.h"
@@ -103,33 +102,7 @@ class HwPrNas : public Surrogate
      */
     void fit(const SurrogateDataset &data, ExecContext &ctx) override;
 
-    /** Pareto scores from the active platform head. */
-    std::vector<double> scoreBatch(
-        std::span<const nasbench::Architecture> archs) const override;
-
-    /** (100 - predicted accuracy %, predicted latency ms) rows. */
-    Matrix objectivesBatch(
-        std::span<const nasbench::Architecture> archs) const override;
-
-    /**
-     * Fused encode+heads+combiner pass against the plan's recycled
-     * scratch; returns the (n x 1) score column for the active
-     * platform. Bit-identical to scoreBatch().
-     */
-    const Matrix &
-    predictBatch(std::span<const nasbench::Architecture> archs,
-                 BatchPlan &plan) const override;
-
-    /**
-     * Rank-only fast path: memoized frozen-encoder encodings plus
-     * int8-quantized heads and combiner. Scores approximate
-     * predictBatch() (Kendall tau gated >= 0.98 in CI) and are
-     * deterministic at every thread count. Freezes the quantized
-     * state lazily on first call; re-training invalidates it.
-     */
-    const Matrix &
-    rankBatch(std::span<const nasbench::Architecture> archs,
-              BatchPlan &plan) const override;
+    bool trained() const override { return trained_; }
 
     std::string familyLabel() const override { return "hwprnas"; }
 
@@ -153,8 +126,9 @@ class HwPrNas : public Surrogate
      * accuracy branch and encoder, one latency head per listed
      * platform, trained simultaneously — the listwise loss is
      * averaged over the platforms' Pareto rankings and every head
-     * receives its RMSE auxiliary. After this call, scoresFor() can
-     * target any trained platform; scores() uses the first one.
+     * receives its RMSE auxiliary. After this call, predictBatch()
+     * scores against the first platform; setActivePlatform()
+     * retargets it to any trained one.
      */
     void trainMultiPlatform(
         const std::vector<const nasbench::ArchRecord *> &train,
@@ -162,26 +136,13 @@ class HwPrNas : public Surrogate
         const std::vector<hw::PlatformId> &platforms,
         const TrainConfig &cfg);
 
-    /**
-     * Pareto scores (higher = more dominant) for a batch. All
-     * prediction entry points below route through one batched raw
-     * forward — no autodiff recording — chunked over the ExecContext
-     * pool.
-     */
-    std::vector<double>
-    scores(const std::vector<nasbench::Architecture> &archs) const;
-
-    /** Pareto scores against a specific (trained) platform head. */
-    std::vector<double>
-    scoresFor(const std::vector<nasbench::Architecture> &archs,
-              hw::PlatformId platform) const;
-
     /** Latency predictions from a specific platform head, ms. */
     std::vector<double>
     predictLatencyFor(const std::vector<nasbench::Architecture> &archs,
                       hw::PlatformId platform) const;
 
-    /** Retarget scores()/predictLatency() to another trained head. */
+    /** Retarget predictBatch()/rankBatch()/predictLatency() to
+     *  another trained head. */
     void setActivePlatform(hw::PlatformId platform)
     {
         platform_ = platform;
@@ -199,7 +160,6 @@ class HwPrNas : public Surrogate
 
     hw::PlatformId platform() const { return platform_; }
     nasbench::DatasetId dataset() const { return dataset_; }
-    bool trained() const { return trained_; }
 
     /**
      * Per-epoch validation losses of the last train() /
@@ -231,6 +191,21 @@ class HwPrNas : public Surrogate
      */
     static std::unique_ptr<HwPrNas> load(const std::string &path);
 
+  protected:
+    /** Fused encode+heads+combiner pass: the active head's scores. */
+    void predictInto(std::span<const nasbench::Architecture> archs,
+                     BatchPlan &plan, Matrix &out) const override;
+
+    /**
+     * Rank-only fast path: memoized frozen-encoder encodings plus
+     * int8-quantized heads and combiner. Scores approximate
+     * predictBatch() (Kendall tau gated >= 0.98 in CI) and are
+     * deterministic at every thread count. Freezes the quantized
+     * state lazily on first call; re-training invalidates it.
+     */
+    void rankInto(std::span<const nasbench::Architecture> archs,
+                  BatchPlan &plan, Matrix &out) const override;
+
   private:
     struct Forward
     {
@@ -253,10 +228,9 @@ class HwPrNas : public Surrogate
                           std::size_t head, bool training,
                           Rng &rng) const;
 
-    /** Normalized per-row outputs of the raw inference forward. */
+    /** Normalized branch outputs of the raw inference forward. */
     struct RawForward
     {
-        std::vector<double> score;   ///< combiner output
         std::vector<double> accNorm; ///< standardized accuracy
         std::vector<double> latNorm; ///< standardized log-latency
     };
@@ -264,17 +238,16 @@ class HwPrNas : public Surrogate
     /**
      * Fused batched inference: encode + heads + combiner per chunk
      * against the plan's scratch, chunks fanned out over the
-     * ExecContext pool into disjoint output rows (bit-identical at
-     * any thread count). Scores land in the plan's output column;
-     * the normalized branch outputs additionally land in @p aux when
-     * it is non-null (the objective/accuracy/latency entry points
-     * need them).
+     * ExecContext pool into disjoint rows of @p out (bit-identical at
+     * any thread count). The normalized branch outputs additionally
+     * land in @p aux when it is non-null.
      */
     void fusedForward(std::span<const nasbench::Architecture> archs,
-                      std::size_t head, BatchPlan &plan,
+                      std::size_t head, BatchPlan &plan, Matrix &out,
                       RawForward *aux) const;
 
-    /** fusedForward through a per-call plan (legacy entry points). */
+    /** Branch outputs through a per-call plan (the accuracy and
+     *  latency accessors). */
     RawForward rawForward(std::span<const nasbench::Architecture> archs,
                           std::size_t head) const;
 
@@ -311,20 +284,11 @@ class HwPrNas : public Surrogate
     std::vector<double> valLossHistory_;
     bool trained_ = false;
 
-    /**
-     * Lazily frozen rank-path state (quantized heads + encoding
-     * memos); see rankBatch(). Reset whenever training runs so the
-     * freeze always snapshots the final weights.
-     */
+    /** Quantized heads + encoding memos of the rank path; reset
+     *  whenever training runs so the freeze snapshots the final
+     *  weights. */
     struct RankState;
-    void ensureRankState() const;
-    /** Drop the frozen rank state (training invalidates it). */
-    void invalidateRankState();
-    mutable std::unique_ptr<RankState> rank_;
-    mutable std::mutex rankMu_;
-    /** Publishes rank_ (acquire/release): concurrent const
-     *  rankBatch() calls may race the lazy freeze. */
-    mutable std::atomic<bool> rankFrozen_{false};
+    RankFreeze<RankState> rank_;
 };
 
 } // namespace hwpr::core

@@ -49,38 +49,18 @@ MetricPredictor::MetricPredictor(EncodingKind encoding,
 MetricPredictor::~MetricPredictor() = default;
 
 void
-MetricPredictor::invalidateRankState()
-{
-    rankFrozen_.store(false);
-    rank_.reset();
-}
-
-void
-MetricPredictor::ensureRankState() const
-{
-    if (!hasRankFastPath() ||
-        rankFrozen_.load(std::memory_order_acquire))
-        return;
-    std::lock_guard<std::mutex> lock(rankMu_);
-    if (rankFrozen_.load(std::memory_order_relaxed))
-        return;
-    auto state = std::make_unique<RankState>();
-    state->head = nn::QuantizedMlp(*head_);
-    state->cache.init(encoder_->dim());
-    rank_ = std::move(state);
-    rankFrozen_.store(true, std::memory_order_release);
-}
-
-void
 MetricPredictor::rankChunk(
     std::span<const nasbench::Architecture> archs,
     nn::PredictScratch &scratch, double *out) const
 {
     HWPR_ASSERT(regressor_ == RegressorKind::Mlp,
                 "rankChunk is NN-only");
-    HWPR_ASSERT(rankFrozen_.load(std::memory_order_acquire),
-                "rankChunk before ensureRankState");
-    RankState &rank = *rank_;
+    RankState &rank = rank_.get([this] {
+        auto state = std::make_unique<RankState>();
+        state->head = nn::QuantizedMlp(*head_);
+        state->cache.init(encoder_->dim());
+        return state;
+    });
     Matrix &enc = scratch.acquire(archs.size(), rank.cache.width());
     gatherEncodings(*encoder_, archs, rank.cache, scratch, enc);
     Matrix &pred = scratch.acquire(archs.size(), 1);
@@ -167,7 +147,7 @@ MetricPredictor::train(
                 ? gbdt::xgboostConfig()
                 : gbdt::lgboostConfig());
         trees_->fit(x, train_yn, rng_, &xv, &val_yn);
-        invalidateRankState();
+        rank_.reset();
         trained_ = true;
         return;
     }
@@ -299,7 +279,7 @@ MetricPredictor::train(
         }
     }
     restoreParams(params, best_params);
-    invalidateRankState();
+    rank_.reset();
     trained_ = true;
 }
 
@@ -307,35 +287,9 @@ std::vector<double>
 MetricPredictor::predict(
     std::span<const nasbench::Architecture> archs) const
 {
-    HWPR_CHECK(trained_, "predict() before train()");
-    HWPR_SPAN("surrogate.predict_batch",
-              {{"rows", double(archs.size())}});
-    static obs::Histogram &batch_hist = obs::Registry::global()
-        .histogram("surrogate.predict_batch.us");
-    obs::ScopedTimer batch_timer(batch_hist);
-    if (obs::metricsEnabled()) {
-        static obs::Counter &rows = obs::Registry::global().counter(
-            "surrogate.predict_batch.rows");
-        rows.add(archs.size());
-    }
-    if (regressor_ != RegressorKind::Mlp) {
-        // Tree traversal is parallelized over rows inside
-        // Gbdt::predictBatch.
-        const Matrix p = trees_->predictBatch(gbdtFeatures(archs));
-        std::vector<double> out(archs.size());
-        for (std::size_t i = 0; i < archs.size(); ++i)
-            out[i] = targetScaler_.denorm(p(i, 0));
-        return out;
-    }
-    // Fused chunked forward through a per-call plan: encode + head
-    // per chunk against recycled scratch, chunks fanned out over the
-    // ExecContext pool into disjoint output slots.
     BatchPlan plan;
-    const Matrix &pred = predict(archs, plan);
-    std::vector<double> out(archs.size());
-    for (std::size_t i = 0; i < archs.size(); ++i)
-        out[i] = pred(i, 0);
-    return out;
+    predict(archs, plan);
+    return std::move(plan.output().raw());
 }
 
 const Matrix &
@@ -380,22 +334,6 @@ namespace
 constexpr std::size_t kGbdtFeatureDim =
     nasbench::kNumArchFeatures + nasbench::kTokenLength + 1;
 
-void
-writeScaler(BinaryWriter &w, const nasbench::FeatureScaler &scaler)
-{
-    w.writeDoubles(scaler.mean);
-    w.writeDoubles(scaler.std);
-}
-
-nasbench::FeatureScaler
-readScaler(BinaryReader &r)
-{
-    nasbench::FeatureScaler s;
-    s.mean = r.readDoubles();
-    s.std = r.readDoubles();
-    return s;
-}
-
 } // namespace
 
 void
@@ -405,26 +343,18 @@ MetricPredictor::saveTo(BinaryWriter &w) const
     w.writeU64(std::uint64_t(encoding_));
     w.writeU64(std::uint64_t(regressor_));
     w.writeU64(std::uint64_t(dataset_));
-    w.writeU64(encCfg_.gcnHidden);
-    w.writeU64(encCfg_.gcnLayers);
-    w.writeU64(encCfg_.lstmHidden);
-    w.writeU64(encCfg_.lstmLayers);
-    w.writeU64(encCfg_.embedDim);
-    w.writeU64(encCfg_.gcnGlobalNode ? 1 : 0);
+    writeEncoderConfig(w, encCfg_);
     w.writeDouble(targetScaler_.mu);
     w.writeDouble(targetScaler_.sigma);
 
     if (regressor_ != RegressorKind::Mlp) {
-        writeScaler(w, gbdtScaler_);
+        writeFeatureScaler(w, gbdtScaler_);
         trees_->saveTo(w);
         return;
     }
 
-    writeScaler(w, encoder_->scaler());
-    const auto &hidden = head_->config().hidden;
-    w.writeU64(hidden.size());
-    for (std::size_t h : hidden)
-        w.writeU64(h);
+    writeFeatureScaler(w, encoder_->scaler());
+    writeWidths(w, head_->config().hidden);
 
     std::vector<nn::Tensor> params = encoder_->params();
     for (const auto &p : head_->params())
@@ -446,20 +376,11 @@ MetricPredictor::loadFrom(BinaryReader &r)
         return nullptr;
 
     EncoderConfig cfg;
-    cfg.gcnHidden = std::size_t(r.readU64());
-    cfg.gcnLayers = std::size_t(r.readU64());
-    cfg.lstmHidden = std::size_t(r.readU64());
-    cfg.lstmLayers = std::size_t(r.readU64());
-    cfg.embedDim = std::size_t(r.readU64());
-    cfg.gcnGlobalNode = r.readU64() != 0;
+    if (!readEncoderConfig(r, cfg))
+        return nullptr;
     const double mu = r.readDouble();
     const double sigma = r.readDouble();
-    // Oversized layer dimensions would make the skeleton build below
-    // allocate huge parameter matrices before any shape check.
-    constexpr std::size_t kMaxDim = 1 << 16;
-    if (!r.ok() || cfg.gcnHidden > kMaxDim || cfg.gcnLayers > 64 ||
-        cfg.lstmHidden > kMaxDim || cfg.lstmLayers > 64 ||
-        cfg.embedDim > kMaxDim)
+    if (!r.ok())
         return nullptr;
 
     auto pred = std::make_unique<MetricPredictor>(
@@ -469,7 +390,7 @@ MetricPredictor::loadFrom(BinaryReader &r)
     pred->targetScaler_.sigma = sigma;
 
     if (pred->regressor_ != RegressorKind::Mlp) {
-        pred->gbdtScaler_ = readScaler(r);
+        pred->gbdtScaler_ = readFeatureScaler(r);
         if (!r.ok() ||
             pred->gbdtScaler_.mean.size() !=
                 nasbench::kNumArchFeatures ||
@@ -485,17 +406,9 @@ MetricPredictor::loadFrom(BinaryReader &r)
         return pred;
     }
 
-    nasbench::FeatureScaler scaler = readScaler(r);
-    const std::uint64_t num_hidden = r.readU64();
-    if (!r.ok() || num_hidden > 64)
-        return nullptr;
-    std::vector<std::size_t> hidden(num_hidden);
-    for (auto &h : hidden) {
-        h = std::size_t(r.readU64());
-        if (h == 0 || h > kMaxDim)
-            return nullptr;
-    }
-    if (!r.ok())
+    nasbench::FeatureScaler scaler = readFeatureScaler(r);
+    std::vector<std::size_t> hidden;
+    if (!readWidths(r, hidden))
         return nullptr;
 
     // Build the skeleton; the dummy-architecture scaler fit is

@@ -15,15 +15,14 @@
 #ifndef HWPR_CORE_PREDICTOR_H
 #define HWPR_CORE_PREDICTOR_H
 
-#include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
 
 #include "common/serialize.h"
 #include "core/batch_plan.h"
 #include "core/encoding.h"
+#include "core/rank_cache.h"
 #include "core/train_util.h"
 #include "gbdt/gbdt.h"
 #include "nn/layers.h"
@@ -113,9 +112,9 @@ class MetricPredictor
     /**
      * Per-chunk fused kernel: predict @p archs against @p scratch,
      * writing one denormalized value per architecture into @p out.
-     * Composite surrogates (BRP-NAS, GATES) call this from their own
-     * fused passes so both predictors share one plan's scratch. NN
-     * regressors only — callers must branch on regressor() first.
+     * The two-predictor baselines (BRP-NAS, GATES) call this from
+     * their fused passes so both predictors share one plan's scratch.
+     * NN regressors only.
      */
     void predictChunk(std::span<const nasbench::Architecture> archs,
                       nn::PredictScratch &scratch, double *out) const;
@@ -123,22 +122,13 @@ class MetricPredictor
     /**
      * Rank-only variant of predictChunk(): memoized frozen-encoder
      * encodings + the int8-quantized head, same denormalization (a
-     * monotone transform, so ranking semantics are preserved).
-     * Callers must ensureRankState() once before fanning out. NN
-     * regressors only, like predictChunk(); the GBDT path is already
-     * served by the flattened-forest Gbdt::predictBatch.
+     * monotone transform, so ranking semantics are preserved). The
+     * first call after training freezes the rank state; concurrent
+     * chunks may race that freeze. NN regressors only, like
+     * predictChunk().
      */
     void rankChunk(std::span<const nasbench::Architecture> archs,
                    nn::PredictScratch &scratch, double *out) const;
-
-    /** Freeze the rank-path state if stale (idempotent, cheap). */
-    void ensureRankState() const;
-
-    /** Whether rankChunk() offers a cheaper route (NN regressor). */
-    bool hasRankFastPath() const
-    {
-        return regressor_ == RegressorKind::Mlp;
-    }
 
     /**
      * Serialize the trained predictor (configuration, scalers and
@@ -164,9 +154,6 @@ class MetricPredictor
     nn::Tensor forwardNn(const std::vector<nasbench::Architecture> &archs,
                          bool training, Rng &rng) const;
 
-    /** Drop the frozen rank state (training invalidates it). */
-    void invalidateRankState();
-
     EncodingKind encoding_;
     EncoderConfig encCfg_;
     RegressorKind regressor_;
@@ -179,11 +166,9 @@ class MetricPredictor
     TargetScaler targetScaler_;
     bool trained_ = false;
 
-    /** Lazily frozen rank-path state; see HwPrNas::RankState. */
+    /** Frozen rank-path state; see HwPrNas::RankState. */
     struct RankState;
-    mutable std::unique_ptr<RankState> rank_;
-    mutable std::mutex rankMu_;
-    mutable std::atomic<bool> rankFrozen_{false};
+    RankFreeze<RankState> rank_;
 };
 
 /** Kendall tau + RMSE of a predictor on held-out records. */

@@ -27,6 +27,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <span>
@@ -165,6 +166,47 @@ class EncodingCache
     mutable std::atomic<std::uint64_t> misses_{0};
     std::atomic<std::uint64_t> evictions_{0};
     mutable std::atomic<std::uint64_t> collisions_{0};
+};
+
+/**
+ * Lazily frozen rank-path state (quantized heads, encoding memos):
+ * built by the first rankBatch() after training, dropped by the next
+ * train. Concurrent const callers may race the freeze: the first
+ * builds under the mutex and publishes with release, later calls take
+ * the acquire fast path. reset() must not race get().
+ */
+template <typename State>
+class RankFreeze
+{
+  public:
+    /** The frozen state; @p build returns a fresh unique_ptr<State>
+     *  when none is published yet. */
+    template <typename Build>
+    State &
+    get(Build &&build) const
+    {
+        if (!frozen_.load(std::memory_order_acquire)) {
+            std::lock_guard<std::mutex> lock(mu_);
+            if (!frozen_.load(std::memory_order_relaxed)) {
+                state_ = build();
+                frozen_.store(true, std::memory_order_release);
+            }
+        }
+        return *state_;
+    }
+
+    /** Drop the frozen state (training invalidates it). */
+    void
+    reset()
+    {
+        frozen_.store(false);
+        state_.reset();
+    }
+
+  private:
+    mutable std::unique_ptr<State> state_;
+    mutable std::mutex mu_;
+    mutable std::atomic<bool> frozen_{false};
 };
 
 /**

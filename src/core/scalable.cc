@@ -34,28 +34,6 @@ ScalableHwPrNas::ScalableHwPrNas(const ScalableConfig &cfg,
 ScalableHwPrNas::~ScalableHwPrNas() = default;
 
 void
-ScalableHwPrNas::invalidateRankState()
-{
-    rankFrozen_.store(false);
-    rank_.reset();
-}
-
-void
-ScalableHwPrNas::ensureRankState() const
-{
-    if (rankFrozen_.load(std::memory_order_acquire))
-        return;
-    std::lock_guard<std::mutex> lock(rankMu_);
-    if (rankFrozen_.load(std::memory_order_relaxed))
-        return;
-    auto state = std::make_unique<RankState>();
-    state->mlp = nn::QuantizedMlp(*mlp_);
-    state->cache.init(encoder_->dim());
-    rank_ = std::move(state);
-    rankFrozen_.store(true, std::memory_order_release);
-}
-
-void
 ScalableHwPrNas::buildModel(
     const std::vector<nasbench::Architecture> &scaler_fit,
     double dropout)
@@ -85,20 +63,12 @@ ScalableHwPrNas::save(const std::string &path) const
     return atomicSave(path, [this](BinaryWriter &w) {
         writeHeader(w, "hwpr-scalable", 1);
 
-        w.writeU64(cfg_.encoder.gcnHidden);
-        w.writeU64(cfg_.encoder.gcnLayers);
-        w.writeU64(cfg_.encoder.lstmHidden);
-        w.writeU64(cfg_.encoder.lstmLayers);
-        w.writeU64(cfg_.encoder.embedDim);
-        w.writeU64(cfg_.encoder.gcnGlobalNode ? 1 : 0);
-        w.writeU64(cfg_.mlpHidden.size());
-        for (std::size_t h : cfg_.mlpHidden)
-            w.writeU64(h);
+        writeEncoderConfig(w, cfg_.encoder);
+        writeWidths(w, cfg_.mlpHidden);
         w.writeU64(std::uint64_t(dataset_));
         w.writeU64(std::uint64_t(platform_));
         w.writeU64(energyAware_ ? 1 : 0);
-        w.writeDoubles(encoder_->scaler().mean);
-        w.writeDoubles(encoder_->scaler().std);
+        writeFeatureScaler(w, encoder_->scaler());
 
         std::vector<nn::Tensor> params = encoder_->params();
         for (const auto &p : mlp_->params())
@@ -121,18 +91,9 @@ ScalableHwPrNas::load(const std::string &path)
         return nullptr;
 
     ScalableConfig cfg;
-    cfg.encoder.gcnHidden = std::size_t(r.readU64());
-    cfg.encoder.gcnLayers = std::size_t(r.readU64());
-    cfg.encoder.lstmHidden = std::size_t(r.readU64());
-    cfg.encoder.lstmLayers = std::size_t(r.readU64());
-    cfg.encoder.embedDim = std::size_t(r.readU64());
-    cfg.encoder.gcnGlobalNode = r.readU64() != 0;
-    const std::uint64_t num_hidden = r.readU64();
-    if (!r.ok() || num_hidden > 64)
+    if (!readEncoderConfig(r, cfg.encoder) ||
+        !readWidths(r, cfg.mlpHidden))
         return nullptr;
-    cfg.mlpHidden.resize(num_hidden);
-    for (auto &h : cfg.mlpHidden)
-        h = std::size_t(r.readU64());
     const std::uint64_t dataset_raw = r.readU64();
     const std::uint64_t platform_raw = r.readU64();
     const bool energy_aware = r.readU64() != 0;
@@ -141,9 +102,7 @@ ScalableHwPrNas::load(const std::string &path)
         return nullptr;
     const auto dataset = nasbench::DatasetId(dataset_raw);
     const auto platform = hw::PlatformId(platform_raw);
-    nasbench::FeatureScaler scaler;
-    scaler.mean = r.readDoubles();
-    scaler.std = r.readDoubles();
+    nasbench::FeatureScaler scaler = readFeatureScaler(r);
     if (!r.ok())
         return nullptr;
 
@@ -296,7 +255,7 @@ ScalableHwPrNas::train(
         }
     }
     restoreParams(params, best_params);
-    invalidateRankState();
+    rank_.reset();
     trained_ = true;
     energyAware_ = false;
 }
@@ -352,7 +311,7 @@ ScalableHwPrNas::addEnergyObjective(
             opt.step();
         }
     }
-    invalidateRankState();
+    rank_.reset();
     energyAware_ = true;
 }
 
@@ -363,25 +322,11 @@ ScalableHwPrNas::fit(const SurrogateDataset &data, ExecContext &ctx)
     train(data.train, data.val, data.platform, fitConfig_);
 }
 
-const Matrix &
-ScalableHwPrNas::predictBatch(
-    std::span<const nasbench::Architecture> archs,
-    BatchPlan &plan) const
+void
+ScalableHwPrNas::predictInto(
+    std::span<const nasbench::Architecture> archs, BatchPlan &plan,
+    Matrix &out) const
 {
-    if (archs.empty()) // no-op contract: no weights touched
-        return plan.prepare(0, 1);
-    HWPR_CHECK(trained_, "predictBatch() before train()");
-    HWPR_SPAN("surrogate.predict_batch",
-              {{"rows", double(archs.size())}});
-    static obs::Histogram &batch_hist = obs::Registry::global()
-        .histogram("surrogate.predict_batch.us");
-    obs::ScopedTimer batch_timer(batch_hist);
-    if (obs::metricsEnabled()) {
-        static obs::Counter &rows = obs::Registry::global().counter(
-            "surrogate.predict_batch.rows");
-        rows.add(archs.size());
-    }
-    Matrix &out = plan.prepare(archs.size(), 1);
     plan.forEachChunk(
         "scalable",
         [&](nn::PredictScratch &s, std::size_t i0, std::size_t i1) {
@@ -393,20 +338,18 @@ ScalableHwPrNas::predictBatch(
             for (std::size_t i = i0; i < i1; ++i)
                 out(i, 0) = score(i - i0, 0);
         });
-    return out;
 }
 
-const Matrix &
-ScalableHwPrNas::rankBatch(
-    std::span<const nasbench::Architecture> archs,
-    BatchPlan &plan) const
+void
+ScalableHwPrNas::rankInto(std::span<const nasbench::Architecture> archs,
+                          BatchPlan &plan, Matrix &out) const
 {
-    if (archs.empty())
-        return plan.prepare(0, 1);
-    HWPR_CHECK(trained_, "rankBatch() before train()");
-    ensureRankState();
-    RankState &rank = *rank_;
-    Matrix &out = plan.prepare(archs.size(), 1);
+    RankState &rank = rank_.get([this] {
+        auto state = std::make_unique<RankState>();
+        state->mlp = nn::QuantizedMlp(*mlp_);
+        state->cache.init(encoder_->dim());
+        return state;
+    });
     plan.forEachChunk(
         "scalable_rank",
         [&](nn::PredictScratch &s, std::size_t i0, std::size_t i1) {
@@ -419,29 +362,6 @@ ScalableHwPrNas::rankBatch(
             for (std::size_t i = i0; i < i1; ++i)
                 out(i, 0) = score(i - i0, 0);
         });
-    return out;
-}
-
-std::vector<double>
-ScalableHwPrNas::scoreBatch(
-    std::span<const nasbench::Architecture> archs) const
-{
-    if (archs.empty())
-        return {};
-    HWPR_CHECK(trained_, "scoreBatch() before train()");
-    BatchPlan plan;
-    const Matrix &s = predictBatch(archs, plan);
-    std::vector<double> out(archs.size());
-    for (std::size_t i = 0; i < archs.size(); ++i)
-        out[i] = s(i, 0);
-    return out;
-}
-
-std::vector<double>
-ScalableHwPrNas::scores(
-    const std::vector<nasbench::Architecture> &archs) const
-{
-    return scoreBatch(archs);
 }
 
 } // namespace hwpr::core

@@ -15,13 +15,12 @@
 #ifndef HWPR_CORE_SCALABLE_H
 #define HWPR_CORE_SCALABLE_H
 
-#include <atomic>
 #include <memory>
-#include <mutex>
 #include <span>
 
 #include "core/encoding.h"
 #include "core/hwprnas.h"
+#include "core/rank_cache.h"
 #include "core/surrogate.h"
 #include "nn/layers.h"
 
@@ -62,29 +61,7 @@ class ScalableHwPrNas : public Surrogate
      */
     void fit(const SurrogateDataset &data, ExecContext &ctx) override;
 
-    /**
-     * Pareto scores via one raw matrix-level forward per chunk,
-     * chunks fanned out over the ExecContext pool.
-     */
-    std::vector<double> scoreBatch(
-        std::span<const nasbench::Architecture> archs) const override;
-
-    /**
-     * Fused encode+MLP pass against the plan's recycled scratch;
-     * returns the (n x 1) score column. Bit-identical to
-     * scoreBatch(), which routes through a per-call plan.
-     */
-    const Matrix &
-    predictBatch(std::span<const nasbench::Architecture> archs,
-                 BatchPlan &plan) const override;
-
-    /**
-     * Rank-only fast path: memoized frozen-encoder encodings + the
-     * int8-quantized score MLP (see HwPrNas::rankBatch).
-     */
-    const Matrix &
-    rankBatch(std::span<const nasbench::Architecture> archs,
-              BatchPlan &plan) const override;
+    bool trained() const override { return trained_; }
 
     std::string familyLabel() const override { return "scalable"; }
 
@@ -112,13 +89,8 @@ class ScalableHwPrNas : public Surrogate
         std::size_t epochs = 5, double lr = 3e-4,
         std::size_t batch_size = 128);
 
-    /** Pareto scores (higher = more dominant). */
-    std::vector<double>
-    scores(const std::vector<nasbench::Architecture> &archs) const;
-
     bool energyAware() const { return energyAware_; }
     hw::PlatformId platform() const { return platform_; }
-    bool trained() const { return trained_; }
 
     /** Serialize the trained model to a binary checkpoint. */
     bool save(const std::string &path) const override;
@@ -126,6 +98,18 @@ class ScalableHwPrNas : public Surrogate
     /** Restore from a checkpoint; nullptr on mismatch. */
     static std::unique_ptr<ScalableHwPrNas>
     load(const std::string &path);
+
+  protected:
+    /** Fused encode+MLP pass: one score per row. */
+    void predictInto(std::span<const nasbench::Architecture> archs,
+                     BatchPlan &plan, Matrix &out) const override;
+
+    /**
+     * Rank-only fast path: memoized frozen-encoder encodings + the
+     * int8-quantized score MLP (see HwPrNas::rankInto).
+     */
+    void rankInto(std::span<const nasbench::Architecture> archs,
+                  BatchPlan &plan, Matrix &out) const override;
 
   private:
     void buildModel(
@@ -151,13 +135,9 @@ class ScalableHwPrNas : public Surrogate
     bool trained_ = false;
     bool energyAware_ = false;
 
-    /** Lazily frozen rank-path state; see HwPrNas::RankState. */
+    /** Frozen rank-path state; see HwPrNas::RankState. */
     struct RankState;
-    void ensureRankState() const;
-    void invalidateRankState();
-    mutable std::unique_ptr<RankState> rank_;
-    mutable std::mutex rankMu_;
-    mutable std::atomic<bool> rankFrozen_{false};
+    RankFreeze<RankState> rank_;
 };
 
 } // namespace hwpr::core

@@ -30,53 +30,53 @@ rankOnlyEnvEnabled()
 
 } // namespace
 
-std::vector<double>
-Surrogate::scoreBatch(std::span<const nasbench::Architecture> archs) const
+std::size_t
+Surrogate::outputCols() const
 {
-    // Default: negated sum of the minimization objectives — a crude
-    // scalarization that preserves "lower objectives = higher score".
-    const Matrix obj = objectivesBatch(archs);
-    std::vector<double> out(obj.rows());
-    for (std::size_t i = 0; i < obj.rows(); ++i) {
-        double acc = 0.0;
-        for (std::size_t j = 0; j < obj.cols(); ++j)
-            acc += obj(i, j);
-        out[i] = -acc;
-    }
-    return out;
-}
-
-Matrix
-Surrogate::objectivesBatch(
-    std::span<const nasbench::Architecture> archs) const
-{
-    // Default: a single "negated score" minimization objective.
-    const std::vector<double> s = scoreBatch(archs);
-    Matrix out(s.size(), 1);
-    for (std::size_t i = 0; i < s.size(); ++i)
-        out(i, 0) = -s[i];
-    return out;
+    return evalKind() == search::EvalKind::ParetoScore ? 1
+                                                       : numObjectives();
 }
 
 const Matrix &
 Surrogate::predictBatch(std::span<const nasbench::Architecture> archs,
                         BatchPlan &plan) const
 {
-    // Adapter for implementations without a fused pass: run the
-    // legacy batch entry points and copy into the plan's output.
-    if (evalKind() == search::EvalKind::ParetoScore) {
-        Matrix &out = plan.prepare(archs.size(), 1);
-        const std::vector<double> s = scoreBatch(archs);
-        for (std::size_t i = 0; i < s.size(); ++i)
-            out(i, 0) = s[i];
-        return out;
+    if (archs.empty()) // no-op contract: no weights touched
+        return plan.prepare(0, outputCols());
+    HWPR_CHECK(trained(), "prediction before train()");
+    HWPR_SPAN("surrogate.predict_batch",
+              {{"rows", double(archs.size())}});
+    static obs::Histogram &batch_hist = obs::Registry::global()
+        .histogram("surrogate.predict_batch.us");
+    obs::ScopedTimer batch_timer(batch_hist);
+    if (obs::metricsEnabled()) {
+        static obs::Counter &rows = obs::Registry::global().counter(
+            "surrogate.predict_batch.rows");
+        rows.add(archs.size());
     }
-    // Sized off the emitted matrix, not numObjectives(): ad-hoc
-    // implementations may emit fewer columns than they rank over.
-    const Matrix obj = objectivesBatch(archs);
-    Matrix &out = plan.prepare(archs.size(), obj.cols());
-    out.raw() = obj.raw();
+    Matrix &out = plan.prepare(archs.size(), outputCols());
+    predictInto(archs, plan, out);
     return out;
+}
+
+const Matrix &
+Surrogate::rankBatch(std::span<const nasbench::Architecture> archs,
+                     BatchPlan &plan) const
+{
+    if (archs.empty())
+        return plan.prepare(0, outputCols());
+    HWPR_CHECK(trained(), "prediction before train()");
+    Matrix &out = plan.prepare(archs.size(), outputCols());
+    rankInto(archs, plan, out);
+    return out;
+}
+
+Matrix
+Surrogate::predict(std::span<const nasbench::Architecture> archs) const
+{
+    BatchPlan plan;
+    predictBatch(archs, plan);
+    return std::move(plan.output());
 }
 
 SurrogateEvaluator::SurrogateEvaluator(const Surrogate &model,

@@ -3,13 +3,16 @@
  * Unified batched surrogate interface.
  *
  * Every surrogate family in the repo — HW-PR-NAS, the scalable
- * variant, BRP-NAS, GATES and the LUT latency estimator — implements
- * `Surrogate`: fit once on oracle records, then answer whole batches
- * of architectures at a time. The batch methods are the *only*
- * prediction paths; they run one matrix-level forward per chunk (no
- * autodiff recording) and fan the chunks out over the ExecContext
- * thread pool. Chunk boundaries depend only on the batch size, so
- * results are bit-identical at every thread count.
+ * variant, the dominance classifier, BRP-NAS, GATES and the LUT
+ * latency estimator — implements `Surrogate`: fit once on oracle
+ * records, then answer whole batches of architectures at a time. The
+ * base class owns the inference contract (empty-batch no-op, trained
+ * check, output shape, predict instrumentation) in predictBatch() /
+ * rankBatch(); a family supplies only the per-chunk hooks behind them.
+ * Each hook runs one matrix-level forward per chunk (no autodiff
+ * recording) and fans the chunks out over the ExecContext thread
+ * pool. Chunk boundaries depend only on the batch size, so results
+ * are bit-identical at every thread count.
  *
  * `SurrogateEvaluator` adapts a fitted surrogate to the search layer's
  * `search::Evaluator` so MOEA / random search can consume populations
@@ -46,13 +49,9 @@ struct SurrogateDataset
 };
 
 /**
- * Abstract batched surrogate.
- *
- * Implementations must override at least one of scoreBatch /
- * objectivesBatch; the defaults express each in terms of the other
- * (calling neither override recurses forever). Scores follow the
- * search convention: higher = more Pareto-dominant. Objectives are
- * minimization values, one row per architecture.
+ * Abstract batched surrogate. Scores follow the search convention:
+ * higher = more Pareto-dominant. Objectives are minimization values,
+ * one row per architecture.
  */
 class Surrogate
 {
@@ -65,8 +64,15 @@ class Surrogate
     /** How the search should consume this surrogate. */
     virtual search::EvalKind evalKind() const = 0;
 
-    /** Columns of objectivesBatch(). */
+    /** Objectives the model predicts or ranks over. */
     virtual std::size_t numObjectives() const { return 2; }
+
+    /**
+     * Columns of predictBatch()/rankBatch(): one score for
+     * ParetoScore families, numObjectives() minimization columns
+     * otherwise.
+     */
+    std::size_t outputCols() const;
 
     /**
      * Fit on oracle records. @p ctx supplies the RNG seed (model
@@ -76,26 +82,18 @@ class Surrogate
      */
     virtual void fit(const SurrogateDataset &data, ExecContext &ctx) = 0;
 
-    /** Pareto scores, one per architecture (higher = better). */
-    virtual std::vector<double>
-    scoreBatch(std::span<const nasbench::Architecture> archs) const;
-
-    /** Minimization objectives, one row per architecture. */
-    virtual Matrix
-    objectivesBatch(std::span<const nasbench::Architecture> archs) const;
+    /** Whether the model can predict (fitted or loaded). */
+    virtual bool trained() const = 0;
 
     /**
      * Fused batched prediction against a caller-held BatchPlan: one
      * encode+predict pass over recycled scratch, zero allocation once
-     * the plan is warm. Returns the plan's output matrix — one score
-     * column for ParetoScore surrogates, numObjectives() minimization
-     * columns for ObjectiveVector surrogates. Values are bit-identical
-     * to scoreBatch() / objectivesBatch() (all five families override
-     * this with the fused pass and express the legacy entry points
-     * through it). The default adapts any other implementation by
-     * copying the legacy batch results into the plan.
+     * the plan is warm. Returns the plan's (n x outputCols()) output.
+     * An empty batch is a no-op that touches no weights; otherwise
+     * the model must be trained. Opens the surrogate.predict_batch
+     * span and records its .us histogram and .rows counter.
      */
-    virtual const Matrix &
+    const Matrix &
     predictBatch(std::span<const nasbench::Architecture> archs,
                  BatchPlan &plan) const;
 
@@ -103,20 +101,18 @@ class Surrogate
      * Rank-only batched prediction: same output shape and the same
      * *ordering* semantics as predictBatch, but values may be
      * computed on a cheaper, lower-precision path (int8 heads, frozen
-     * encoder memoization, flattened GBDT descent). Callers that only
-     * compare rows — environmental selection, tournament picks — can
-     * use this; anything that reports absolute numbers must use
-     * predictBatch (or re-score, see DESIGN.md "Quantized rank
-     * path"). The default is simply predictBatch; families override
-     * it where a cheaper route exists. Rank agreement is gated at
-     * Kendall tau >= 0.98 vs fp64 in CI.
+     * encoder memoization). Callers that only compare rows —
+     * environmental selection, tournament picks — can use this;
+     * anything that reports absolute numbers must use predictBatch
+     * (or re-score, see DESIGN.md "Quantized rank path"). Rank
+     * agreement is gated at Kendall tau >= 0.98 vs fp64 in CI.
      */
-    virtual const Matrix &
+    const Matrix &
     rankBatch(std::span<const nasbench::Architecture> archs,
-              BatchPlan &plan) const
-    {
-        return predictBatch(archs, plan);
-    }
+              BatchPlan &plan) const;
+
+    /** One-shot predictBatch() through a local plan. */
+    Matrix predict(std::span<const nasbench::Architecture> archs) const;
 
     /**
      * Short stable identifier used in metrics keys, e.g.
@@ -157,6 +153,22 @@ class Surrogate
     {
         return false;
     }
+
+  protected:
+    /**
+     * Per-family predict hook: fill @p out (archs.size() x
+     * outputCols(), prepared on @p plan) for a non-empty batch of a
+     * trained model.
+     */
+    virtual void predictInto(std::span<const nasbench::Architecture> archs,
+                             BatchPlan &plan, Matrix &out) const = 0;
+
+    /** Rank hook, same contract; defaults to predictInto(). */
+    virtual void rankInto(std::span<const nasbench::Architecture> archs,
+                          BatchPlan &plan, Matrix &out) const
+    {
+        predictInto(archs, plan, out);
+    }
 };
 
 /**
@@ -181,9 +193,7 @@ class SurrogateEvaluator : public search::Evaluator
 
     std::size_t numObjectives() const override
     {
-        return kind() == search::EvalKind::ParetoScore
-                   ? 1
-                   : model_.numObjectives();
+        return model_.outputCols();
     }
 
     std::vector<pareto::Point>

@@ -93,7 +93,7 @@ TEST(BrpNasTest, EvaluatorMinimizationSemantics)
     BrpNas model(tinyEncoder(), nasbench::DatasetId::Cifar10, 2);
     model.train(data.select(data.trainIdx), data.select(data.valIdx),
                 hw::PlatformId::EdgeGpu, quickTraining());
-    auto eval = model.evaluator();
+    core::SurrogateEvaluator eval(model);
     EXPECT_EQ(eval.kind(), search::EvalKind::ObjectiveVector);
 
     const auto test = data.select(data.testIdx);
@@ -124,10 +124,10 @@ TEST(GatesTest, ScoresRankObjectives)
     // Accuracy ranking across the union space is hard at this tiny
     // budget (FBNet accuracies live in a narrow band); the bar is
     // "clearly better than chance".
-    EXPECT_GT(kendallTau(model.accuracyScores(archsOf(test)),
+    EXPECT_GT(kendallTau(model.predictAccuracy(archsOf(test)),
                          true_acc),
               0.2);
-    EXPECT_GT(kendallTau(model.latencyScores(archsOf(test)),
+    EXPECT_GT(kendallTau(model.predictLatency(archsOf(test)),
                          true_lat),
               0.3);
 }
@@ -140,7 +140,7 @@ TEST(GatesTest, SearchIntegration)
     cfg.epochs = 6;
     model.train(data.select(data.trainIdx), data.select(data.valIdx),
                 hw::PlatformId::EdgeGpu, cfg);
-    auto eval = model.evaluator();
+    core::SurrogateEvaluator eval(model);
 
     search::MoeaConfig mc;
     mc.populationSize = 12;
@@ -189,7 +189,7 @@ TEST(LatencyLutTest, BuildPrePopulatesEntries)
     const std::size_t entries = lut.numEntries();
     EXPECT_GT(entries, 10u);
     // Estimating the same archs adds no entries.
-    lut.estimate(calib);
+    lut.predict(calib);
     EXPECT_EQ(lut.numEntries(), entries);
 }
 

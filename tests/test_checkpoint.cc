@@ -1,7 +1,7 @@
 /**
  * @file
  * Crash-safety tests for the checkpoint layer: atomic save semantics,
- * CRC-verified loads, save/load round trips for all five surrogate
+ * CRC-verified loads, save/load round trips for the surrogate
  * families through core::loadSurrogate, generation-level MOEA
  * checkpoint/resume bit-identity, and fault injection (truncation,
  * bit flips, wrong kinds) proving corrupted artifacts are rejected
@@ -23,6 +23,7 @@
 #include "common/serialize.h"
 #include "common/threadpool.h"
 #include "core/hwprnas.h"
+#include "core/predictor.h"
 #include "core/scalable.h"
 #include "core/surrogate.h"
 #include "pareto/pareto.h"
@@ -124,12 +125,11 @@ expectObjectivesIdentical(const core::Surrogate &a,
                           const std::vector<nasbench::Architecture> &
                               archs)
 {
-    const Matrix oa = a.objectivesBatch(archs);
-    const Matrix ob = b.objectivesBatch(archs);
+    const Matrix oa = a.predict(archs);
+    const Matrix ob = b.predict(archs);
     ASSERT_EQ(oa.rows(), ob.rows());
     ASSERT_EQ(oa.cols(), ob.cols());
-    for (std::size_t i = 0; i < oa.raw().size(); ++i)
-        EXPECT_DOUBLE_EQ(oa.raw()[i], ob.raw()[i]);
+    EXPECT_EQ(oa.raw(), ob.raw());
 }
 
 // -------------------------------------------------------------------
@@ -345,7 +345,15 @@ TEST(SurrogateCheckpoint, HwPrNasRoundTrip)
     const auto loaded = core::loadSurrogate(path);
     ASSERT_NE(loaded, nullptr);
     EXPECT_EQ(loaded->name(), "HW-PR-NAS");
-    expectObjectivesIdentical(model, *loaded, testArchs());
+    const auto archs = testArchs();
+    expectObjectivesIdentical(model, *loaded, archs);
+    // The branch outputs survive too, not only the combined score.
+    const auto *restored = dynamic_cast<const core::HwPrNas *>(&*loaded);
+    ASSERT_NE(restored, nullptr);
+    EXPECT_EQ(model.predictAccuracy(archs),
+              restored->predictAccuracy(archs));
+    EXPECT_EQ(model.predictLatency(archs),
+              restored->predictLatency(archs));
     std::remove(path.c_str());
 }
 
@@ -457,6 +465,144 @@ TEST(SurrogateCheckpoint, UnknownKindRejected)
         w.writeU64(5);
     }));
     EXPECT_EQ(core::loadSurrogate(path), nullptr);
+    std::remove(path.c_str());
+}
+
+namespace
+{
+
+constexpr std::uint64_t kHuge = std::uint64_t(1) << 40;
+
+/**
+ * Encoder sizes in checkpoint field order (gcnHidden, gcnLayers,
+ * lstmHidden, lstmLayers, embedDim), field @p huge set to 2^40. Layer
+ * counts are never inflated: an unbounded loader would build layers
+ * one by one until memory runs out instead of failing its first
+ * allocation.
+ */
+void
+writeDims(BinaryWriter &w, int huge, bool global_node_field)
+{
+    const std::uint64_t dims[5] = {12, 2, 12, 2, 8};
+    for (int i = 0; i < 5; ++i)
+        w.writeU64(i == huge ? kHuge : dims[i]);
+    if (global_node_field)
+        w.writeU64(1);
+}
+
+void
+writeUnitScaler(BinaryWriter &w)
+{
+    w.writeDoubles({});
+    w.writeDoubles({});
+}
+
+} // namespace
+
+TEST(SurrogateCheckpoint, OversizedShapesRejectedBeforeAllocation)
+{
+    // CRC-valid files whose encoder or MLP sizes would make the model
+    // skeleton allocate terabytes. Every field a loader reads before
+    // building the skeleton is present, so only the bounds can stop
+    // them.
+    enum Field { GcnHidden = 0, LstmHidden = 2, EmbedDim = 4, Width };
+    const std::string path = tempPath("hwpr_ckpt_oversized.bin");
+    auto expectRejected = [&](const char *what, auto &&body) {
+        SCOPED_TRACE(what);
+        ASSERT_TRUE(atomicSave(path, body));
+        EXPECT_EQ(core::loadSurrogate(path), nullptr);
+    };
+    for (const Field f : {GcnHidden, LstmHidden, EmbedDim, Width}) {
+        SCOPED_TRACE(int(f));
+        const int dim = f == Width ? -1 : int(f);
+        const std::uint64_t width = f == Width ? kHuge : 16;
+        expectRejected("hwprnas", [&](BinaryWriter &w) {
+            writeHeader(w, "hwprnas", 2);
+            writeDims(w, dim, false);
+            w.writeU64(1); // headHidden
+            w.writeU64(width);
+            w.writeU64(1); // combinerHidden
+            w.writeU64(8);
+            w.writeU64(1);     // useArchFeatures
+            w.writeDouble(1.0); // rmseWeight
+            w.writeU64(0);     // sharedLatencyHead
+            w.writeU64(0);     // dataset
+            w.writeU64(0);     // platform
+            for (std::size_t i = 0; i < 1 + hw::kNumPlatforms; ++i) {
+                w.writeDouble(0.0);
+                w.writeDouble(1.0);
+            }
+            writeUnitScaler(w);
+            writeUnitScaler(w);
+            w.writeU64(0); // parameters
+        });
+        expectRejected("hwpr-scalable", [&](BinaryWriter &w) {
+            writeHeader(w, "hwpr-scalable", 1);
+            writeDims(w, dim, true);
+            w.writeU64(1); // mlpHidden
+            w.writeU64(width);
+            w.writeU64(0); // dataset
+            w.writeU64(0); // platform
+            w.writeU64(0); // energyAware
+            writeUnitScaler(w);
+            w.writeU64(0); // parameters
+        });
+        expectRejected("dominance", [&](BinaryWriter &w) {
+            writeHeader(w, "dominance", 1);
+            writeDims(w, dim, true);
+            w.writeU64(1); // headHidden
+            w.writeU64(width);
+            w.writeU64(16); // referenceSize
+            w.writeU64(0);  // dataset
+            w.writeU64(0);  // platform
+            writeUnitScaler(w);
+            w.writeU64(0); // anchors
+        });
+    }
+    std::remove(path.c_str());
+}
+
+TEST(SurrogateCheckpoint, TwoPredictorBaselineRejectsTreePredictors)
+{
+    // train() only builds MLP predictors, so a BRP-NAS or GATES file
+    // holding a tree ensemble was crafted; it must not load. The same
+    // layout around MLP predictors is the control.
+    baselines::registerBaselineLoaders();
+    const auto data = tinySurrogateData();
+    const auto target = [](const nasbench::ArchRecord &rec) {
+        return rec.accuracy;
+    };
+    core::MetricPredictor mlp(core::EncodingKind::GCN, tinyEncoder(),
+                              core::RegressorKind::Mlp,
+                              nasbench::DatasetId::Cifar10, 5);
+    mlp.train(data.train, data.val, target, quickPredictorFit());
+    core::MetricPredictor trees(core::EncodingKind::GCN, tinyEncoder(),
+                                core::RegressorKind::XGBoost,
+                                nasbench::DatasetId::Cifar10, 6);
+    trees.train(data.train, data.val, target, quickPredictorFit());
+
+    const std::string path = tempPath("hwpr_ckpt_trees.bin");
+    for (const char *kind : {"brpnas", "gates"}) {
+        SCOPED_TRACE(kind);
+        auto write = [&](const core::MetricPredictor &acc,
+                         const core::MetricPredictor &lat) {
+            return atomicSave(path, [&](BinaryWriter &w) {
+                writeHeader(w, kind, 1);
+                core::writeEncoderConfig(w, tinyEncoder());
+                w.writeU64(0); // dataset
+                w.writeU64(3); // seed
+                w.writeU64(0); // platform
+                acc.saveTo(w);
+                lat.saveTo(w);
+            });
+        };
+        ASSERT_TRUE(write(mlp, mlp));
+        EXPECT_NE(core::loadSurrogate(path), nullptr);
+        ASSERT_TRUE(write(trees, mlp));
+        EXPECT_EQ(core::loadSurrogate(path), nullptr);
+        ASSERT_TRUE(write(mlp, trees));
+        EXPECT_EQ(core::loadSurrogate(path), nullptr);
+    }
     std::remove(path.c_str());
 }
 

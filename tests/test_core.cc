@@ -232,7 +232,7 @@ TEST(HwPrNasTest, TrainingProducesUsefulScores)
     for (int r : ranks)
         neg_rank.push_back(-double(r));
     const double tau =
-        kendallTau(model.scores(archsOf(test)), neg_rank);
+        kendallTau(model.predict(archsOf(test)).raw(), neg_rank);
     // Tiny dataset/epoch budget: the bar is "clearly informative",
     // not the paper-scale correlation.
     EXPECT_GT(tau, 0.22);
@@ -260,8 +260,8 @@ TEST(HwPrNasTest, ScoresDeterministicAfterTraining)
     model.train(data.select(data.trainIdx), data.select(data.valIdx),
                 hw::PlatformId::Pixel3, tc);
     const auto archs = archsOf(data.select(data.testIdx));
-    const auto s1 = model.scores(archs);
-    const auto s2 = model.scores(archs);
+    const auto s1 = model.predict(archs).raw();
+    const auto s2 = model.predict(archs).raw();
     EXPECT_EQ(s1, s2);
 }
 
@@ -302,10 +302,10 @@ TEST(ScalableTest, TrainAndAddEnergy)
     EXPECT_FALSE(model.energyAware());
 
     const auto archs = archsOf(data.select(data.testIdx));
-    const auto before = model.scores(archs);
+    const auto before = model.predict(archs).raw();
     model.addEnergyObjective(data.select(data.trainIdx), 3);
     EXPECT_TRUE(model.energyAware());
-    const auto after = model.scores(archs);
+    const auto after = model.predict(archs).raw();
     // Fine-tuning must actually change the scoring function.
     double diff = 0.0;
     for (std::size_t i = 0; i < before.size(); ++i)
@@ -345,8 +345,8 @@ TEST(Checkpoint, SaveLoadRoundTripsScores)
     EXPECT_EQ(loaded->dataset(), nasbench::DatasetId::Cifar10);
 
     const auto archs = archsOf(data.select(data.testIdx));
-    const auto s1 = model.scores(archs);
-    const auto s2 = loaded->scores(archs);
+    const auto s1 = model.predict(archs).raw();
+    const auto s2 = loaded->predict(archs).raw();
     ASSERT_EQ(s1.size(), s2.size());
     for (std::size_t i = 0; i < s1.size(); ++i)
         EXPECT_NEAR(s1[i], s2[i], 1e-12);
@@ -424,10 +424,10 @@ TEST(MultiPlatform, JointTrainingServesSeveralHeads)
     }
     // The two heads disagree where the platforms disagree: scores
     // against different heads must not be identical.
-    const auto s_gpu =
-        model.scoresFor(archs, hw::PlatformId::EdgeGpu);
-    const auto s_pixel =
-        model.scoresFor(archs, hw::PlatformId::Pixel3);
+    model.setActivePlatform(hw::PlatformId::EdgeGpu);
+    const auto s_gpu = model.predict(archs).raw();
+    model.setActivePlatform(hw::PlatformId::Pixel3);
+    const auto s_pixel = model.predict(archs).raw();
     double diff = 0.0;
     for (std::size_t i = 0; i < s_gpu.size(); ++i)
         diff += std::abs(s_gpu[i] - s_pixel[i]);
@@ -447,10 +447,13 @@ TEST(MultiPlatform, ActivePlatformRetargetsScores)
         {hw::PlatformId::EdgeTpu, hw::PlatformId::Eyeriss}, tc);
     const auto archs = archsOf(data.select(data.testIdx));
     model.setActivePlatform(hw::PlatformId::Eyeriss);
-    const auto via_active = model.scores(archs);
-    const auto direct =
-        model.scoresFor(archs, hw::PlatformId::Eyeriss);
-    EXPECT_EQ(via_active, direct);
+    const auto via_active = model.predict(archs).raw();
+    EXPECT_EQ(model.predictLatency(archs),
+              model.predictLatencyFor(archs, hw::PlatformId::Eyeriss));
+    model.setActivePlatform(hw::PlatformId::EdgeTpu);
+    EXPECT_NE(model.predict(archs).raw(), via_active);
+    model.setActivePlatform(hw::PlatformId::Eyeriss);
+    EXPECT_EQ(model.predict(archs).raw(), via_active);
 }
 
 TEST(Checkpoint, ScalableSaveLoadRoundTrips)
@@ -473,8 +476,8 @@ TEST(Checkpoint, ScalableSaveLoadRoundTrips)
     EXPECT_EQ(loaded->platform(), hw::PlatformId::EdgeGpu);
 
     const auto archs = archsOf(data.select(data.testIdx));
-    const auto s1 = model.scores(archs);
-    const auto s2 = loaded->scores(archs);
+    const auto s1 = model.predict(archs).raw();
+    const auto s2 = loaded->predict(archs).raw();
     for (std::size_t i = 0; i < s1.size(); ++i)
         EXPECT_NEAR(s1[i], s2[i], 1e-12);
 }

@@ -63,11 +63,7 @@ pipeline()
 TEST(Integration, SurrogateGuidedSearchBeatsRandomSelection)
 {
     auto &p = pipeline();
-    search::ParetoScoreEvaluator eval(
-        "HW-PR-NAS",
-        [&p](const std::vector<nasbench::Architecture> &archs) {
-            return p.model->scores(archs);
-        });
+    core::SurrogateEvaluator eval(*p.model);
 
     search::MoeaConfig mc;
     mc.populationSize = 40;
@@ -109,11 +105,7 @@ TEST(Integration, SurrogateGuidedSearchBeatsRandomSelection)
 TEST(Integration, MemoizedSurrogateInsideAgingEvolution)
 {
     auto &p = pipeline();
-    search::ParetoScoreEvaluator inner(
-        "HW-PR-NAS",
-        [&p](const std::vector<nasbench::Architecture> &archs) {
-            return p.model->scores(archs);
-        });
+    core::SurrogateEvaluator inner(*p.model);
     search::MemoizingEvaluator memo(inner);
 
     search::AgingConfig ac;
@@ -140,11 +132,7 @@ TEST(Integration, CheckpointHandoffPreservesSearchOutcome)
     ASSERT_NE(loaded, nullptr);
 
     auto run_with = [](const core::HwPrNas &model) {
-        search::ParetoScoreEvaluator eval(
-            "HW-PR-NAS",
-            [&model](const std::vector<nasbench::Architecture> &a) {
-                return model.scores(a);
-            });
+        core::SurrogateEvaluator eval(model);
         search::MoeaConfig mc;
         mc.populationSize = 16;
         mc.maxGenerations = 5;

@@ -511,7 +511,7 @@ TEST(ObsDeterminism, SameSeedFitIdenticalWithObsOnVsOff)
         core::HwPrNas model(mc, nasbench::DatasetId::Cifar10, 5);
         model.train(trainRecs, valRecs, hw::PlatformId::EdgeGpu, tc);
         offLosses = model.valLossHistory();
-        offScores = model.scoreBatch(valArchs);
+        offScores = model.predict(valArchs).raw();
     }
     {
         obs::clearTrace();
@@ -519,7 +519,7 @@ TEST(ObsDeterminism, SameSeedFitIdenticalWithObsOnVsOff)
         core::HwPrNas model(mc, nasbench::DatasetId::Cifar10, 5);
         model.train(trainRecs, valRecs, hw::PlatformId::EdgeGpu, tc);
         onLosses = model.valLossHistory();
-        onScores = model.scoreBatch(valArchs);
+        onScores = model.predict(valArchs).raw();
     }
 
     ASSERT_EQ(offLosses.size(), onLosses.size());
@@ -589,7 +589,7 @@ runFitAndSearch(bool profiled)
         std::vector<nasbench::Architecture> valArchs;
         for (const auto *r : data.select(data.valIdx))
             valArchs.push_back(r->arch);
-        out.scores = model.scoreBatch(valArchs);
+        out.scores = model.predict(valArchs).raw();
 
         core::SurrogateEvaluator eval(model);
         search::MoeaConfig smc;

@@ -13,11 +13,13 @@
 #include <atomic>
 #include <cmath>
 #include <mutex>
+#include <thread>
 
 #include "baselines/brpnas.h"
 #include "baselines/gates.h"
 #include "baselines/lut.h"
 #include "common/threadpool.h"
+#include "core/dominance.h"
 #include "core/hwprnas.h"
 #include "core/scalable.h"
 #include "core/surrogate.h"
@@ -348,33 +350,22 @@ quickFit()
     return cfg;
 }
 
-/** Batch result vs the same surrogate queried one arch at a time. */
+/** Batch result vs the same surrogate queried one arch at a time:
+ *  the contract is bitwise, whatever the batch composition. */
 void
 expectBatchSingleParity(const core::Surrogate &model,
                         const std::vector<nasbench::Architecture> &archs)
 {
-    if (model.evalKind() == search::EvalKind::ParetoScore) {
-        const std::vector<double> batch = model.scoreBatch(archs);
-        ASSERT_EQ(batch.size(), archs.size());
-        for (std::size_t i = 0; i < archs.size(); ++i) {
-            const auto one = model.scoreBatch(
-                std::span<const nasbench::Architecture>(&archs[i], 1));
-            EXPECT_NEAR(one[0], batch[i], 1e-9);
-        }
-    }
-    const Matrix batch = model.objectivesBatch(archs);
+    core::BatchPlan plan;
+    const Matrix &batch = model.predictBatch(archs, plan);
     ASSERT_EQ(batch.rows(), archs.size());
-    // Vector surrogates emit one column per objective; pure score
-    // surrogates fall back to the default single -score column
-    // (numObjectives() then counts the objectives the score ranks
-    // over, not the emitted columns).
-    if (model.evalKind() == search::EvalKind::ObjectiveVector)
-        ASSERT_EQ(batch.cols(), model.numObjectives());
+    ASSERT_EQ(batch.cols(), model.outputCols());
+    core::BatchPlan one;
     for (std::size_t i = 0; i < archs.size(); ++i) {
-        const Matrix one = model.objectivesBatch(
-            std::span<const nasbench::Architecture>(&archs[i], 1));
+        const Matrix &row = model.predictBatch(
+            std::span<const nasbench::Architecture>(&archs[i], 1), one);
         for (std::size_t c = 0; c < batch.cols(); ++c)
-            EXPECT_NEAR(one(0, c), batch(i, c), 1e-9);
+            EXPECT_EQ(row(0, c), batch(i, c)) << "row " << i;
     }
 }
 
@@ -386,12 +377,11 @@ expectThreadCountInvariance(
 {
     const std::size_t before = ExecContext::global().threads();
     ExecContext::setGlobalThreads(1);
-    const Matrix serial = model.objectivesBatch(archs);
+    const Matrix serial = model.predict(archs);
     ExecContext::setGlobalThreads(4);
-    const Matrix parallel = model.objectivesBatch(archs);
+    const Matrix parallel = model.predict(archs);
     ExecContext::setGlobalThreads(before);
-    for (std::size_t i = 0; i < serial.raw().size(); ++i)
-        EXPECT_DOUBLE_EQ(serial.raw()[i], parallel.raw()[i]);
+    EXPECT_EQ(serial.raw(), parallel.raw());
 }
 
 } // namespace
@@ -413,12 +403,13 @@ TEST(SurrogateIface, HwPrNasFitScoreAndObjectives)
     expectBatchSingleParity(model, archs);
     expectThreadCountInvariance(model, archs);
 
-    // Objectives carry physical units: error % in [0, 100] and a
+    // Branch outputs carry physical units: error % below 100 and a
     // positive latency.
-    const Matrix obj = model.objectivesBatch(archs);
-    for (std::size_t i = 0; i < obj.rows(); ++i) {
-        EXPECT_GT(obj(i, 1), 0.0);
-        EXPECT_LT(obj(i, 0), 100.0);
+    const auto acc = model.predictAccuracy(archs);
+    const auto lat = model.predictLatency(archs);
+    for (std::size_t i = 0; i < archs.size(); ++i) {
+        EXPECT_GT(lat[i], 0.0);
+        EXPECT_LT(100.0 - acc[i], 100.0);
     }
 }
 
@@ -434,7 +425,7 @@ TEST(SurrogateIface, HwPrNasFitSameSeedIsIdentical)
         model.setFitConfig(quickFit());
         ExecContext ctx = ExecContext::global().withSeed(7);
         model.fit(tinySurrogateData(), ctx);
-        runs[k] = model.scoreBatch(archs);
+        runs[k] = model.predict(archs).raw();
     }
     // fit() reseeds from the context, so the constructor seeds (which
     // differ) must not matter: both models are the same model.
@@ -456,12 +447,12 @@ TEST(SurrogateIface, ScalableScoreBatchParity)
     const auto archs = testArchs();
     expectBatchSingleParity(model, archs);
 
-    // No objectivesBatch override: the default is the negated score.
-    const Matrix obj = model.objectivesBatch(archs);
-    const auto scores = model.scoreBatch(archs);
-    ASSERT_EQ(obj.cols(), 1u);
-    for (std::size_t i = 0; i < archs.size(); ++i)
-        EXPECT_DOUBLE_EQ(obj(i, 0), -scores[i]);
+    // A score family emits one column whatever it ranks over, and
+    // the one-shot predict() is predictBatch() behind a local plan.
+    EXPECT_EQ(model.outputCols(), 1u);
+    core::BatchPlan plan;
+    const Matrix &batch = model.predictBatch(archs, plan);
+    EXPECT_EQ(model.predict(archs).raw(), batch.raw());
 }
 
 TEST(SurrogateIface, BrpNasObjectivesParity)
@@ -482,7 +473,7 @@ TEST(SurrogateIface, BrpNasObjectivesParity)
     expectBatchSingleParity(iface, archs);
 
     // Column semantics: (100 - acc%, latency ms).
-    const Matrix obj = iface.objectivesBatch(archs);
+    const Matrix obj = iface.predict(archs);
     const auto acc = model.predictAccuracy(archs);
     const auto lat = model.predictLatency(archs);
     for (std::size_t i = 0; i < archs.size(); ++i) {
@@ -507,10 +498,13 @@ TEST(SurrogateIface, GatesObjectivesParity)
     expectBatchSingleParity(iface, archs);
 
     // Column semantics: (-accuracy score, latency score).
-    const Matrix obj = iface.objectivesBatch(archs);
-    const auto acc = model.accuracyScores(archs);
-    for (std::size_t i = 0; i < archs.size(); ++i)
+    const Matrix obj = iface.predict(archs);
+    const auto acc = model.predictAccuracy(archs);
+    const auto lat = model.predictLatency(archs);
+    for (std::size_t i = 0; i < archs.size(); ++i) {
         EXPECT_DOUBLE_EQ(obj(i, 0), -acc[i]);
+        EXPECT_DOUBLE_EQ(obj(i, 1), lat[i]);
+    }
 }
 
 TEST(SurrogateIface, LutFitAndObjectivesParity)
@@ -525,9 +519,16 @@ TEST(SurrogateIface, LutFitAndObjectivesParity)
 
     const auto archs = testArchs();
     expectBatchSingleParity(iface, archs);
-    const Matrix obj = iface.objectivesBatch(archs);
+    const Matrix obj = iface.predict(archs);
     for (std::size_t i = 0; i < archs.size(); ++i)
         EXPECT_DOUBLE_EQ(obj(i, 0), lut.estimateMs(archs[i]));
+
+    // The rank path memoizes whole-architecture estimates; cold and
+    // warm it returns the predict values bit for bit.
+    for (int pass = 0; pass < 2; ++pass) {
+        core::BatchPlan plan;
+        EXPECT_EQ(iface.rankBatch(archs, plan).raw(), obj.raw());
+    }
 }
 
 TEST(BatchPlanTest, EmptyBatchIsAWellDefinedNoOp)
@@ -568,9 +569,13 @@ TEST(SurrogateIface, EmptyBatchNoOpAcrossAllFamilies)
                            nasbench::DatasetId::Cifar10, 44);
     baselines::LatencyLut lut(nasbench::DatasetId::Cifar10,
                               hw::PlatformId::EdgeGpu);
+    core::DominanceConfig dc;
+    dc.encoder = tinyEncoder();
+    core::DominanceSurrogate dominance(dc, nasbench::DatasetId::Cifar10,
+                                       45);
 
     const std::vector<const core::Surrogate *> families = {
-        &hwpr, &scalable, &brp, &gates, &lut};
+        &hwpr, &scalable, &brp, &gates, &lut, &dominance};
     const std::span<const nasbench::Architecture> empty;
     for (const core::Surrogate *model : families) {
         SCOPED_TRACE(model->name());
@@ -581,14 +586,124 @@ TEST(SurrogateIface, EmptyBatchNoOpAcrossAllFamilies)
         core::BatchPlan rank_plan;
         const Matrix &ranked = model->rankBatch(empty, rank_plan);
         EXPECT_EQ(ranked.rows(), 0u);
-        EXPECT_TRUE(model->scoreBatch(empty).empty());
-        EXPECT_EQ(model->objectivesBatch(empty).rows(), 0u);
+        EXPECT_EQ(ranked.cols(), model->outputCols());
+        EXPECT_EQ(model->predict(empty).rows(), 0u);
     }
 
     // The evaluator wrapper (the path search and serve actually
     // drive) returns an empty fitness set, trained or not.
     core::SurrogateEvaluator eval(hwpr);
     EXPECT_TRUE(eval.evaluate({}).empty());
+}
+
+TEST(SurrogateIfaceDeathTest, UntrainedPredictionFailsWithOneMessage)
+{
+    // The base class owns the trained check, so every family fails
+    // the same way on both entry points. (The LUT profiles on demand
+    // and is always ready.)
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    core::HwPrNasConfig mc;
+    mc.encoder = tinyEncoder();
+    core::HwPrNas hwpr(mc, nasbench::DatasetId::Cifar10, 51);
+    core::ScalableConfig sc;
+    sc.encoder = tinyEncoder();
+    core::ScalableHwPrNas scalable(sc, nasbench::DatasetId::Cifar10,
+                                   52);
+    baselines::BrpNas brp(tinyEncoder(), nasbench::DatasetId::Cifar10,
+                          53);
+    baselines::Gates gates(tinyEncoder(),
+                           nasbench::DatasetId::Cifar10, 54);
+    core::DominanceConfig dc;
+    dc.encoder = tinyEncoder();
+    core::DominanceSurrogate dominance(dc, nasbench::DatasetId::Cifar10,
+                                       55);
+
+    Rng rng(56);
+    const std::vector<nasbench::Architecture> one = {
+        nasbench::nasBench201().sample(rng)};
+    for (const core::Surrogate *model :
+         {static_cast<const core::Surrogate *>(&hwpr),
+          static_cast<const core::Surrogate *>(&scalable),
+          static_cast<const core::Surrogate *>(&brp),
+          static_cast<const core::Surrogate *>(&gates),
+          static_cast<const core::Surrogate *>(&dominance)}) {
+        SCOPED_TRACE(model->name());
+        EXPECT_FALSE(model->trained());
+        core::BatchPlan plan;
+        EXPECT_DEATH(model->predictBatch(one, plan),
+                     "prediction before train\\(\\)");
+        EXPECT_DEATH(model->rankBatch(one, plan),
+                     "prediction before train\\(\\)");
+    }
+}
+
+TEST(SurrogateIface, ConcurrentRankFreezeMatchesSerial)
+{
+    // rankBatch() is const and freezes its quantized state lazily;
+    // concurrent first calls race that freeze. Each family is fresh
+    // from fitting, four threads rank at once, and every result must
+    // equal a later serial call bit for bit.
+    core::TrainConfig quick = quickFit();
+    quick.epochs = 2;
+    quick.combinerEpochs = 1;
+    core::PredictorTrainConfig pquick;
+    pquick.epochs = 2;
+    const auto data = tinySurrogateData();
+    ExecContext ctx = ExecContext::global().withSeed(57);
+
+    core::HwPrNasConfig mc;
+    mc.encoder = tinyEncoder();
+    core::HwPrNas hwpr(mc, nasbench::DatasetId::Cifar10, 58);
+    hwpr.setFitConfig(quick);
+    hwpr.fit(data, ctx);
+    core::ScalableConfig sc;
+    sc.encoder = tinyEncoder();
+    core::ScalableHwPrNas scalable(sc, nasbench::DatasetId::Cifar10,
+                                   59);
+    scalable.setFitConfig(quick);
+    scalable.fit(data, ctx);
+    baselines::BrpNas brp(tinyEncoder(), nasbench::DatasetId::Cifar10,
+                          60);
+    brp.train(data.train, data.val, data.platform, pquick);
+    baselines::Gates gates(tinyEncoder(),
+                           nasbench::DatasetId::Cifar10, 61);
+    gates.train(data.train, data.val, data.platform, pquick);
+    core::DominanceConfig dc;
+    dc.encoder = tinyEncoder();
+    dc.referenceSize = 16;
+    dc.maxPairsPerEpoch = 2000;
+    core::DominanceSurrogate dominance(dc, nasbench::DatasetId::Cifar10,
+                                       62);
+    dominance.setFitConfig(quick);
+    dominance.fit(data, ctx);
+
+    const auto archs = testArchs();
+    for (const core::Surrogate *model :
+         {static_cast<const core::Surrogate *>(&hwpr),
+          static_cast<const core::Surrogate *>(&scalable),
+          static_cast<const core::Surrogate *>(&brp),
+          static_cast<const core::Surrogate *>(&gates),
+          static_cast<const core::Surrogate *>(&dominance)}) {
+        SCOPED_TRACE(model->name());
+        constexpr int kThreads = 4;
+        std::vector<Matrix> results(kThreads);
+        std::atomic<int> ready{0};
+        std::vector<std::thread> threads;
+        for (int t = 0; t < kThreads; ++t)
+            threads.emplace_back([&, t] {
+                ready.fetch_add(1);
+                while (ready.load() < kThreads) {
+                }
+                core::BatchPlan plan;
+                results[t] = model->rankBatch(archs, plan);
+            });
+        for (auto &th : threads)
+            th.join();
+        core::BatchPlan plan;
+        const Matrix &serial = model->rankBatch(archs, plan);
+        for (const Matrix &r : results)
+            EXPECT_EQ(r.raw(), serial.raw());
+    }
 }
 
 TEST(SurrogateIface, DefaultSaveIsUnsupported)
@@ -616,11 +731,11 @@ TEST(SurrogateIface, EvaluatorMatchesBatchMethods)
 
     const auto archs = testArchs();
     const auto pts = eval.evaluate(archs);
-    const auto scores = model.scoreBatch(archs);
+    const Matrix scores = model.predict(archs);
     ASSERT_EQ(pts.size(), archs.size());
     for (std::size_t i = 0; i < archs.size(); ++i) {
         ASSERT_EQ(pts[i].size(), 1u);
-        EXPECT_DOUBLE_EQ(pts[i][0], scores[i]);
+        EXPECT_DOUBLE_EQ(pts[i][0], scores(i, 0));
     }
 }
 
@@ -667,10 +782,11 @@ TEST(Determinism, SearchIdenticalAcrossThreadCounts)
     // Same-seed searches must agree on the hypervolume of the final
     // population's predicted objectives.
     auto hyper = [&](const search::SearchResult &r) {
-        const Matrix obj = model.objectivesBatch(r.population);
+        const auto acc = model.predictAccuracy(r.population);
+        const auto lat = model.predictLatency(r.population);
         std::vector<pareto::Point> pts;
-        for (std::size_t i = 0; i < obj.rows(); ++i)
-            pts.push_back({obj(i, 0), obj(i, 1)});
+        for (std::size_t i = 0; i < acc.size(); ++i)
+            pts.push_back({100.0 - acc[i], lat[i]});
         return pareto::hypervolume(pts, {100.0, 1e4});
     };
     EXPECT_DOUBLE_EQ(hyper(serial), hyper(parallel));

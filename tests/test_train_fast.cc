@@ -192,14 +192,14 @@ TEST(TrainFastPath, SameSeedFitIdenticalFastVsSlow)
         core::HwPrNas model(mc, nasbench::DatasetId::Cifar10, 11);
         model.train(trainRecs, valRecs, hw::PlatformId::Pixel3, tc);
         slowLosses = model.valLossHistory();
-        slowScores = model.scoreBatch(valArchs);
+        slowScores = model.predict(valArchs).raw();
     }
     {
         FastPathGuard guard(true);
         core::HwPrNas model(mc, nasbench::DatasetId::Cifar10, 11);
         model.train(trainRecs, valRecs, hw::PlatformId::Pixel3, tc);
         fastLosses = model.valLossHistory();
-        fastScores = model.scoreBatch(valArchs);
+        fastScores = model.predict(valArchs).raw();
     }
 
     ASSERT_EQ(slowLosses.size(), fastLosses.size());
