@@ -242,8 +242,14 @@ BM_MlpPredictBatch(benchmark::State &state)
     const std::size_t batch = std::size_t(state.range(0));
     Rng rng(11);
     const Matrix x = randomMatrix(batch, benchMlp().config().inDim, rng);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(benchMlp().predictBatch(x));
+    nn::PredictScratch scratch;
+    Matrix out(batch, benchMlp().config().outDim);
+    for (auto _ : state) {
+        scratch.reset();
+        benchMlp().predictBatchInto(x, scratch, out);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
     state.SetItemsProcessed(int64_t(state.iterations()) *
                             int64_t(batch));
 }

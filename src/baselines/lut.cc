@@ -15,7 +15,7 @@ namespace hwpr::baselines
 
 LatencyLut::LatencyLut(nasbench::DatasetId dataset,
                        hw::PlatformId platform)
-    : dataset_(dataset), platform_(platform),
+    : core::Surrogate("lut"), dataset_(dataset), platform_(platform),
       model_(hw::costModelFor(platform))
 {
     archMemo_.init(1);
@@ -94,32 +94,19 @@ LatencyLut::fit(const core::SurrogateDataset &data, ExecContext &)
 }
 
 void
-LatencyLut::predictInto(std::span<const nasbench::Architecture> archs,
-                        core::BatchPlan &plan, Matrix &out) const
+LatencyLut::chunk(const core::ChunkPass &pass, Matrix &out) const
 {
-    plan.forEachChunk(
-        "lut",
-        [&](nn::PredictScratch &, std::size_t i0, std::size_t i1) {
-            for (std::size_t i = i0; i < i1; ++i)
-                out(i, 0) = estimateMs(archs[i]);
-        });
-}
-
-void
-LatencyLut::rankInto(std::span<const nasbench::Architecture> archs,
-                     core::BatchPlan &plan, Matrix &out) const
-{
-    plan.forEachChunk(
-        "lut_rank",
-        [&](nn::PredictScratch &, std::size_t i0, std::size_t i1) {
-            for (std::size_t i = i0; i < i1; ++i) {
-                double &ms = out(i, 0);
-                if (!archMemo_.lookup(archs[i], &ms)) {
-                    ms = estimateMs(archs[i]);
-                    archMemo_.insert(archs[i], &ms);
-                }
-            }
-        });
+    const bool memo = pass.ranking();
+    for (std::size_t r = 0; r < pass.archs.size(); ++r) {
+        const nasbench::Architecture &arch = pass.archs[r];
+        double &ms = out(pass.row0 + r, 0);
+        if (!memo)
+            ms = estimateMs(arch);
+        else if (!archMemo_.lookup(arch, &ms)) {
+            ms = estimateMs(arch);
+            archMemo_.insert(arch, &ms);
+        }
+    }
 }
 
 bool

@@ -54,8 +54,6 @@ class LatencyLut : public core::Surrogate
     /** Profiles on demand, so it can always predict. */
     bool trained() const override { return true; }
 
-    std::string familyLabel() const override { return "lut"; }
-
     // ---------------------------------------------------------------
 
     /**
@@ -95,25 +93,19 @@ class LatencyLut : public core::Surrogate
 
   protected:
     /**
-     * (estimated latency ms) rows. Chunks fan out over the pool like
-     * every other family; the memoized op table is guarded by a
-     * shared mutex, and because each entry is a pure function of the
-     * op signature the result is invariant to which thread profiles
-     * an op first.
+     * (estimated latency ms) rows; the LUT declares no trunk or head.
+     * Chunks fan out over the pool like every other family; the
+     * memoized op table is guarded by a shared mutex, and because
+     * each entry is a pure function of the op signature the result is
+     * invariant to which thread profiles an op first. A rank pass
+     * memoizes the whole-architecture estimate in a width-1
+     * core::EncodingCache (genome-checked, so a hash collision is a
+     * miss), letting repeat scoring of a stable population skip the
+     * per-op lowering and summation entirely. Values are
+     * bitwise-identical to predictBatch() (same sum, just cached), so
+     * ranking semantics are exact, not approximate.
      */
-    void predictInto(std::span<const nasbench::Architecture> archs,
-                     core::BatchPlan &plan, Matrix &out) const override;
-
-    /**
-     * Rank-only fast path: memoizes the whole-architecture estimate
-     * in a width-1 core::EncodingCache (genome-checked, so a hash
-     * collision is a miss), letting repeat scoring of a stable
-     * population skip the per-op lowering and summation entirely.
-     * Values are bitwise-identical to predictBatch() (same sum, just
-     * cached), so ranking semantics are exact, not approximate.
-     */
-    void rankInto(std::span<const nasbench::Architecture> archs,
-                  core::BatchPlan &plan, Matrix &out) const override;
+    void chunk(const core::ChunkPass &pass, Matrix &out) const override;
 
   private:
     /** Canonical signature of an operator workload. */

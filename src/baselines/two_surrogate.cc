@@ -11,17 +11,25 @@ namespace hwpr::baselines
 {
 
 const TwoSurrogateMethod kBrpNasMethod = {
-    "BRP-NAS", "brpnas", "brpnas_rank", core::LossKind::MseHinge,
-    core::LossKind::Mse, 0.0, true, 0xaccull, 0x1a7ull};
+    "BRP-NAS", "brpnas", core::LossKind::MseHinge, core::LossKind::Mse,
+    0.0, true, 0xaccull, 0x1a7ull};
 const TwoSurrogateMethod kGatesMethod = {
-    "GATES", "gates", "gates_rank", core::LossKind::Hinge,
-    core::LossKind::Hinge, 0.1, false, 0x6a7e5ull, 0x6a7e51ull};
+    "GATES", "gates", core::LossKind::Hinge, core::LossKind::Hinge,
+    0.1, false, 0x6a7e5ull, 0x6a7e51ull};
 
 TwoSurrogateBaseline::TwoSurrogateBaseline(
     const TwoSurrogateMethod &method, const core::EncoderConfig &enc_cfg,
     nasbench::DatasetId dataset, std::uint64_t seed)
-    : method_(method), encCfg_(enc_cfg), dataset_(dataset), seed_(seed)
+    : core::Surrogate(method.kind), method_(method), encCfg_(enc_cfg),
+      dataset_(dataset), seed_(seed)
 {
+}
+
+void
+TwoSurrogateBaseline::declarePredictors()
+{
+    declareModel({&accuracy_->encoder(), &latency_->encoder()},
+                 {&accuracy_->head(), &latency_->head()});
 }
 
 void
@@ -56,6 +64,8 @@ TwoSurrogateBaseline::train(
                           return log_lat ? std::log(rec.latencyMs[pidx])
                                          : rec.latencyMs[pidx];
                       });
+    declarePredictors();
+    invalidateRank();
 }
 
 void
@@ -87,44 +97,21 @@ TwoSurrogateBaseline::predictLatency(
 }
 
 void
-TwoSurrogateBaseline::fill(std::span<const nasbench::Architecture> archs,
-                           core::BatchPlan &plan, Matrix &out,
-                           bool rank) const
+TwoSurrogateBaseline::chunk(const core::ChunkPass &pass, Matrix &out) const
 {
-    const auto chunk = rank ? &core::MetricPredictor::rankChunk
-                            : &core::MetricPredictor::predictChunk;
+    Matrix &acc = pass.buffer(1);
+    pass.head(0, pass.encode(0), acc);
+    Matrix &lat = pass.buffer(1);
+    pass.head(1, pass.encode(1), lat);
+    const core::TargetScaler &acc_scaler = accuracy_->targetScaler();
+    const core::TargetScaler &lat_scaler = latency_->targetScaler();
     const bool units = method_.physicalUnits;
-    plan.forEachChunk(
-        rank ? method_.rankFamily : method_.kind,
-        [&](nn::PredictScratch &scratch, std::size_t i0,
-            std::size_t i1) {
-            const std::size_t len = i1 - i0;
-            const auto sub = archs.subspan(i0, len);
-            Matrix &acc = scratch.acquire(len, 1);
-            ((*accuracy_).*chunk)(sub, scratch, acc.data());
-            Matrix &lat = scratch.acquire(len, 1);
-            ((*latency_).*chunk)(sub, scratch, lat.data());
-            for (std::size_t r = 0; r < len; ++r) {
-                out(i0 + r, 0) = units ? 100.0 - acc(r, 0) : -acc(r, 0);
-                out(i0 + r, 1) = units ? std::exp(lat(r, 0)) : lat(r, 0);
-            }
-        });
-}
-
-void
-TwoSurrogateBaseline::predictInto(
-    std::span<const nasbench::Architecture> archs, core::BatchPlan &plan,
-    Matrix &out) const
-{
-    fill(archs, plan, out, false);
-}
-
-void
-TwoSurrogateBaseline::rankInto(
-    std::span<const nasbench::Architecture> archs, core::BatchPlan &plan,
-    Matrix &out) const
-{
-    fill(archs, plan, out, true);
+    for (std::size_t r = 0; r < pass.archs.size(); ++r) {
+        const double a = acc_scaler.denorm(acc(r, 0));
+        const double l = lat_scaler.denorm(lat(r, 0));
+        out(pass.row0 + r, 0) = units ? 100.0 - a : -a;
+        out(pass.row0 + r, 1) = units ? std::exp(l) : l;
+    }
 }
 
 bool
@@ -181,6 +168,7 @@ TwoSurrogateBaseline::load(const std::string &path,
     model->latency_ = loadMlp();
     if (!model->latency_)
         return nullptr;
+    model->declarePredictors();
     return model;
 }
 

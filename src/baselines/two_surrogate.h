@@ -28,9 +28,8 @@ namespace hwpr::baselines
 struct TwoSurrogateMethod
 {
     const char *name; ///< Surrogate::name()
-    /** familyLabel(), checkpoint kind and predict chunk family. */
+    /** familyLabel() and checkpoint kind. */
     const char *kind;
-    const char *rankFamily; ///< chunk family of the rank path
     core::LossKind accLoss;
     core::LossKind latLoss;
     /** Hinge margin pinned for both predictors; 0 keeps the caller's. */
@@ -67,7 +66,6 @@ class TwoSurrogateBaseline : public core::Surrogate
         return search::EvalKind::ObjectiveVector;
     }
     bool trained() const override { return accuracy_ && latency_; }
-    std::string familyLabel() const override { return method_.kind; }
 
     /** Reseed from @p ctx and train both predictors. */
     void fit(const core::SurrogateDataset &data,
@@ -103,19 +101,16 @@ class TwoSurrogateBaseline : public core::Surrogate
     load(const std::string &path, const TwoSurrogateMethod &method);
 
   protected:
-    /** Both predictors per chunk against one plan's scratch. */
-    void predictInto(std::span<const nasbench::Architecture> archs,
-                     core::BatchPlan &plan, Matrix &out) const override;
-
-    /** Same pass over the predictors' memoized frozen-encoder +
-     *  int8-head rank kernels. */
-    void rankInto(std::span<const nasbench::Architecture> archs,
-                  core::BatchPlan &plan, Matrix &out) const override;
+    /**
+     * Both predictors per chunk: trunk and head 0 are the accuracy
+     * predictor's, 1 the latency predictor's. Outputs are
+     * denormalized, then transformed per the method's units.
+     */
+    void chunk(const core::ChunkPass &pass, Matrix &out) const override;
 
   private:
-    /** Shared body of predictInto / rankInto. */
-    void fill(std::span<const nasbench::Architecture> archs,
-              core::BatchPlan &plan, Matrix &out, bool rank) const;
+    /** Declare both predictors' encoders and heads as the model. */
+    void declarePredictors();
 
     const TwoSurrogateMethod &method_;
     core::EncoderConfig encCfg_;

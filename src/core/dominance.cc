@@ -8,7 +8,6 @@
 #include "common/logging.h"
 #include "common/obs.h"
 #include "common/serialize.h"
-#include "core/rank_cache.h"
 #include "nasbench/dataset_id.h"
 #include "nasbench/space.h"
 #include "nn/loss.h"
@@ -54,22 +53,12 @@ dominanceLabel(const pareto::Point &a, const pareto::Point &b)
     return pareto::dominates(a, b);
 }
 
-/** Frozen rank-path state: encoding memos only. The pairwise head is
- *  two tiny GEMMs over the anchor rows, so it stays fp64 (see
- *  rankBatch() docs). */
-struct DominanceSurrogate::RankState
-{
-    EncodingCache cache;
-};
-
 DominanceSurrogate::DominanceSurrogate(const DominanceConfig &cfg,
                                        nasbench::DatasetId dataset,
                                        std::uint64_t seed)
-    : cfg_(cfg), dataset_(dataset), rng_(seed)
+    : Surrogate("dominance"), cfg_(cfg), dataset_(dataset), rng_(seed)
 {
 }
-
-DominanceSurrogate::~DominanceSurrogate() = default;
 
 void
 DominanceSurrogate::buildModel(
@@ -84,6 +73,7 @@ DominanceSurrogate::buildModel(
     head_cfg.outDim = 1;
     head_cfg.dropout = dropout;
     head_ = std::make_unique<nn::Mlp>(head_cfg, rng_, "dominance_head");
+    declareModel({encoder_.get()}, {});
 }
 
 void
@@ -91,7 +81,8 @@ DominanceSurrogate::refreshReferenceEncodings()
 {
     HWPR_CHECK(!refArchs_.empty(),
                "reference anchors missing before encoding refresh");
-    refEnc_ = encoder_->encodeBatch(refArchs_);
+    nn::PredictScratch scratch;
+    refEnc_ = encoder_->encodeBatchInto(refArchs_, scratch);
 }
 
 void
@@ -163,12 +154,8 @@ DominanceSurrogate::train(
     std::vector<std::size_t> val_all(nv);
     std::iota(val_all.begin(), val_all.end(), 0);
 
-    const bool fast = trainFastPath();
-    EncoderCache cache, val_cache;
-    if (fast) {
-        cache = encoder_->buildCache(train_archs);
-        val_cache = encoder_->buildCache(val_archs);
-    }
+    const EncoderCache cache = encoder_->buildCache(train_archs);
+    const EncoderCache val_cache = encoder_->buildCache(val_archs);
 
     auto pairLogits = [&](const nn::Tensor &table,
                           const std::vector<std::size_t> &pos_a,
@@ -246,26 +233,16 @@ DominanceSurrogate::train(
                 opt.setLearningRate(schedule.at(step));
             ++step;
             opt.zeroGrad();
-            nn::Tensor table;
-            if (fast) {
-                table = encoder_->encodeCached(cache, uniq);
-            } else {
-                std::vector<nasbench::Architecture> archs;
-                archs.reserve(uniq.size());
-                for (std::size_t i : uniq)
-                    archs.push_back(train_archs[i]);
-                table = encoder_->encode(archs);
-            }
             nn::Tensor loss = nn::bceWithLogitsLoss(
-                pairLogits(table, pos_a, pos_b, true), labels);
+                pairLogits(encoder_->encodeCached(cache, uniq), pos_a,
+                           pos_b, true),
+                labels);
             nn::backward(loss);
             opt.step();
             for (std::size_t i : uniq)
                 slot[i] = SIZE_MAX;
         }
-        const nn::Tensor vtab =
-            fast ? encoder_->encodeCached(val_cache, val_all)
-                 : encoder_->encode(val_archs);
+        const nn::Tensor vtab = encoder_->encodeCached(val_cache, val_all);
         const double vloss =
             nn::bceWithLogitsLoss(
                 pairLogits(vtab, val_pos_a, val_pos_b, false),
@@ -294,7 +271,7 @@ DominanceSurrogate::train(
     for (std::size_t r = 0; r < ref; ++r)
         refArchs_.push_back(train_archs[(r * n) / ref]);
     refreshReferenceEncodings();
-    rank_.reset();
+    invalidateRank();
     trained_ = true;
 }
 
@@ -306,67 +283,29 @@ DominanceSurrogate::fit(const SurrogateDataset &data, ExecContext &ctx)
 }
 
 void
-DominanceSurrogate::scoreEncodedChunk(const Matrix &enc,
-                                      std::size_t rows,
-                                      nn::PredictScratch &s,
-                                      Matrix &out,
-                                      std::size_t out_row0) const
+DominanceSurrogate::chunk(const ChunkPass &pass, Matrix &out) const
 {
+    const Matrix &enc = pass.encode(0);
+    const std::size_t rows = pass.archs.size();
     const std::size_t R = refEnc_.rows();
     const std::size_t d = refEnc_.cols();
     // Stack every (row, anchor) embedding difference and run one head
     // pass per chunk. Row results of the head are bitwise independent
     // of batch composition (the repo-wide batched-vs-scalar GEMM
     // property), so stacking never changes a row's score.
-    Matrix &diff = s.acquire(rows * R, d);
+    Matrix &diff = pass.scratch.acquire(rows * R, d);
     for (std::size_t i = 0; i < rows; ++i)
         for (std::size_t r = 0; r < R; ++r)
             for (std::size_t c = 0; c < d; ++c)
                 diff(i * R + r, c) = enc(i, c) - refEnc_(r, c);
-    Matrix &logit = s.acquire(rows * R, 1);
-    head_->predictBatchInto(diff, s, logit);
+    Matrix &logit = pass.scratch.acquire(rows * R, 1);
+    head_->predictBatchInto(diff, pass.scratch, logit);
     for (std::size_t i = 0; i < rows; ++i) {
         double acc = 0.0;
         for (std::size_t r = 0; r < R; ++r)
             acc += sigmoidScalar(logit(i * R + r, 0));
-        out(out_row0 + i, 0) = acc / double(R);
+        out(pass.row0 + i, 0) = acc / double(R);
     }
-}
-
-void
-DominanceSurrogate::predictInto(
-    std::span<const nasbench::Architecture> archs, BatchPlan &plan,
-    Matrix &out) const
-{
-    plan.forEachChunk(
-        "dominance",
-        [&](nn::PredictScratch &s, std::size_t i0, std::size_t i1) {
-            const std::span<const nasbench::Architecture> sub =
-                archs.subspan(i0, i1 - i0);
-            const Matrix &enc = encoder_->encodeBatchInto(sub, s);
-            scoreEncodedChunk(enc, sub.size(), s, out, i0);
-        });
-}
-
-void
-DominanceSurrogate::rankInto(
-    std::span<const nasbench::Architecture> archs, BatchPlan &plan,
-    Matrix &out) const
-{
-    RankState &rank = rank_.get([this] {
-        auto state = std::make_unique<RankState>();
-        state->cache.init(encoder_->dim());
-        return state;
-    });
-    plan.forEachChunk(
-        "dominance_rank",
-        [&](nn::PredictScratch &s, std::size_t i0, std::size_t i1) {
-            const std::span<const nasbench::Architecture> sub =
-                archs.subspan(i0, i1 - i0);
-            Matrix &enc = s.acquire(sub.size(), rank.cache.width());
-            gatherEncodings(*encoder_, sub, rank.cache, s, enc);
-            scoreEncodedChunk(enc, sub.size(), s, out, i0);
-        });
 }
 
 std::vector<double>
@@ -427,11 +366,13 @@ DominanceSurrogate::dominanceProb(const nasbench::Architecture &a,
 {
     HWPR_CHECK(trained_, "dominanceProb() before train()");
     const std::vector<nasbench::Architecture> pair = {a, b};
-    const Matrix enc = encoder_->encodeBatch(pair);
-    Matrix diff(1, enc.cols());
+    nn::PredictScratch s;
+    const Matrix &enc = encoder_->encodeBatchInto(pair, s);
+    Matrix &diff = s.acquire(1, enc.cols());
     for (std::size_t c = 0; c < enc.cols(); ++c)
         diff(0, c) = enc(0, c) - enc(1, c);
-    const Matrix logit = head_->predictBatch(diff);
+    Matrix &logit = s.acquire(1, 1);
+    head_->predictBatchInto(diff, s, logit);
     return sigmoidScalar(logit(0, 0));
 }
 
@@ -462,9 +403,7 @@ DominanceSurrogate::save(const std::string &path) const
         std::vector<nn::Tensor> params = encoder_->params();
         for (const auto &p : head_->params())
             params.push_back(p);
-        w.writeU64(params.size());
-        for (const auto &p : params)
-            w.writeMatrix(p.value());
+        writeParams(w, params);
     });
 }
 
@@ -500,7 +439,8 @@ DominanceSurrogate::load(const std::string &path)
     Rng dummy_rng(0);
     model->buildModel({nasbench::nasBench201().sample(dummy_rng)},
                       0.0);
-    model->encoder_->setScaler(std::move(scaler));
+    if (!model->encoder_->setScaler(std::move(scaler)))
+        return nullptr;
 
     const std::uint64_t ref_count = r.readU64();
     if (!r.ok() || ref_count == 0 || ref_count > (1u << 16))
@@ -532,15 +472,8 @@ DominanceSurrogate::load(const std::string &path)
     std::vector<nn::Tensor> params = model->encoder_->params();
     for (const auto &p : model->head_->params())
         params.push_back(p);
-    if (r.readU64() != params.size())
+    if (!readParams(r, params))
         return nullptr;
-    for (auto &p : params) {
-        Matrix m = r.readMatrix();
-        if (!r.ok() || m.rows() != p.value().rows() ||
-            m.cols() != p.value().cols())
-            return nullptr;
-        p.valueMut() = std::move(m);
-    }
     model->refreshReferenceEncodings();
     model->trained_ = true;
     return model;

@@ -34,7 +34,6 @@
 
 #include "core/encoding.h"
 #include "core/hwprnas.h"
-#include "core/rank_cache.h"
 #include "core/surrogate.h"
 #include "nn/layers.h"
 #include "pareto/pareto.h"
@@ -80,8 +79,6 @@ class DominanceSurrogate : public Surrogate
   public:
     DominanceSurrogate(const DominanceConfig &cfg,
                        nasbench::DatasetId dataset, std::uint64_t seed);
-    /** Out of line: RankState is incomplete here. */
-    ~DominanceSurrogate() override;
 
     // Surrogate interface -------------------------------------------
 
@@ -99,8 +96,6 @@ class DominanceSurrogate : public Surrogate
     void fit(const SurrogateDataset &data, ExecContext &ctx) override;
 
     bool trained() const override { return trained_; }
-
-    std::string familyLabel() const override { return "dominance"; }
 
     bool supportsDominance() const override { return true; }
 
@@ -149,25 +144,17 @@ class DominanceSurrogate : public Surrogate
 
   protected:
     /**
-     * Fused encode + pairwise-head pass: each chunk encodes its rows,
-     * stacks the per-anchor embedding differences and runs one head
-     * pass, then averages the sigmoid per row (mean anchor-dominance
-     * probability, higher = better). Bit-identical at any thread
-     * count and batch composition.
+     * Encode the chunk's rows, stack the per-anchor embedding
+     * differences and run one pairwise-head pass, then average the
+     * sigmoid per row (mean anchor-dominance probability, higher =
+     * better). Bit-identical at any thread count and batch
+     * composition. The trunk is the only declared part: the head is
+     * two tiny GEMMs over referenceSize rows — the encoder dominates
+     * the cost — so it stays fp64 on rankBatch() too, which is then
+     * bit-identical to predictBatch() (tau = 1) and gains from
+     * encoding memoization alone.
      */
-    void predictInto(std::span<const nasbench::Architecture> archs,
-                     BatchPlan &plan, Matrix &out) const override;
-
-    /**
-     * Rank-only fast path: memoized frozen-encoder encodings
-     * (EncodingCache) feeding the same fp64 head. The head is two
-     * tiny GEMMs over referenceSize rows — the encoder dominates the
-     * cost — so unlike the score families the head is NOT quantized:
-     * rankBatch is bit-identical to predictBatch (tau = 1) and the
-     * speedup comes entirely from encoding memoization.
-     */
-    void rankInto(std::span<const nasbench::Architecture> archs,
-                  BatchPlan &plan, Matrix &out) const override;
+    void chunk(const ChunkPass &pass, Matrix &out) const override;
 
   private:
     void buildModel(
@@ -176,12 +163,6 @@ class DominanceSurrogate : public Surrogate
 
     /** Re-encode the anchors with the current (final) weights. */
     void refreshReferenceEncodings();
-
-    /** Shared chunk body of predictInto/rankInto: anchor-mean
-     *  sigmoid scores of pre-encoded rows. */
-    void scoreEncodedChunk(const Matrix &enc, std::size_t rows,
-                           nn::PredictScratch &s, Matrix &out,
-                           std::size_t out_row0) const;
 
     DominanceConfig cfg_;
     nasbench::DatasetId dataset_;
@@ -194,10 +175,6 @@ class DominanceSurrogate : public Surrogate
     /** Anchor encodings (referenceSize x dim), frozen at train end. */
     Matrix refEnc_;
     bool trained_ = false;
-
-    /** Frozen rank-path state; see HwPrNas::RankState. */
-    struct RankState;
-    RankFreeze<RankState> rank_;
 };
 
 } // namespace hwpr::core

@@ -235,14 +235,6 @@ ArchEncoder::encodeCached(const EncoderCache &cache,
     return out;
 }
 
-Matrix
-ArchEncoder::encodeBatch(
-    std::span<const nasbench::Architecture> archs) const
-{
-    nn::PredictScratch scratch;
-    return encodeBatchInto(archs, scratch);
-}
-
 const Matrix &
 ArchEncoder::encodeBatchInto(
     std::span<const nasbench::Architecture> archs,
@@ -296,6 +288,16 @@ ArchEncoder::encodeBatchInto(
     }
     HWPR_ASSERT(col == dim_, "encoding column mismatch");
     return out;
+}
+
+bool
+ArchEncoder::setScaler(nasbench::FeatureScaler scaler)
+{
+    const std::size_t want = usesAf() ? nasbench::kNumArchFeatures : 0;
+    if (scaler.mean.size() != want || scaler.std.size() != want)
+        return false;
+    scaler_ = std::move(scaler);
+    return true;
 }
 
 std::vector<nn::Tensor>
@@ -388,6 +390,29 @@ readFeatureScaler(BinaryReader &r)
     s.mean = r.readDoubles();
     s.std = r.readDoubles();
     return s;
+}
+
+void
+writeParams(BinaryWriter &w, const std::vector<nn::Tensor> &params)
+{
+    w.writeU64(params.size());
+    for (const auto &p : params)
+        w.writeMatrix(p.value());
+}
+
+bool
+readParams(BinaryReader &r, const std::vector<nn::Tensor> &params)
+{
+    if (r.readU64() != params.size())
+        return false;
+    for (auto p : params) {
+        Matrix m = r.readMatrix();
+        if (!r.ok() || m.rows() != p.value().rows() ||
+            m.cols() != p.value().cols())
+            return false;
+        p.valueMut() = std::move(m);
+    }
+    return true;
 }
 
 } // namespace hwpr::core

@@ -117,19 +117,12 @@ class ArchEncoder : public nn::Module
 
     /**
      * Inference-only encoding on raw matrices: the whole batch is
-     * written into a single (n x dim) matrix, with each sub-encoding
-     * (AF / LSTM / GCN) filling its column span. No autodiff graph is
-     * recorded; matches encode() bit-for-bit. Runs encodeBatchInto()
-     * on a scratch of its own.
-     */
-    Matrix encodeBatch(std::span<const nasbench::Architecture> archs) const;
-
-    /**
-     * Fused-plan encoding: the (n x dim) output and every LSTM/GCN
+     * written into one (n x dim) matrix, each sub-encoding (AF / LSTM
+     * / GCN) filling its column span. The output and every LSTM/GCN
      * intermediate come from @p scratch, so a plan-driven pass reuses
      * the same buffers call after call. The returned reference points
-     * at scratch memory valid until the next scratch reset.
-     * Bit-identical to encodeBatch().
+     * at scratch memory valid until the next scratch reset. No
+     * autodiff graph is recorded; matches encode() bit-for-bit.
      */
     const Matrix &
     encodeBatchInto(std::span<const nasbench::Architecture> archs,
@@ -145,11 +138,13 @@ class ArchEncoder : public nn::Module
     /** AF feature scaler (identity-sized when AF is unused). */
     const nasbench::FeatureScaler &scaler() const { return scaler_; }
 
-    /** Replace the AF scaler (checkpoint loading). */
-    void setScaler(nasbench::FeatureScaler scaler)
-    {
-        scaler_ = std::move(scaler);
-    }
+    /**
+     * Replace the AF scaler (checkpoint loading). Returns false, and
+     * keeps the current scaler, when the mean or std length differs
+     * from the features this encoder reads: kNumArchFeatures with AF,
+     * none without.
+     */
+    bool setScaler(nasbench::FeatureScaler scaler);
 
     /** Build a normalized GCN GraphInput for one architecture. */
     static nn::GraphInput
@@ -193,6 +188,15 @@ bool readWidths(BinaryReader &r, std::vector<std::size_t> &widths);
 void writeFeatureScaler(BinaryWriter &w,
                         const nasbench::FeatureScaler &scaler);
 nasbench::FeatureScaler readFeatureScaler(BinaryReader &r);
+
+/** A parameter list: count, then each value matrix in order. */
+void writeParams(BinaryWriter &w, const std::vector<nn::Tensor> &params);
+/**
+ * Overwrite the values of @p params (a freshly built skeleton's) from
+ * a list writeParams() wrote. False on truncation, a count mismatch
+ * or any matrix whose shape differs from its skeleton parameter.
+ */
+bool readParams(BinaryReader &r, const std::vector<nn::Tensor> &params);
 /// @}
 
 } // namespace hwpr::core

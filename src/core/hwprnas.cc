@@ -8,35 +8,20 @@
 #include "common/logging.h"
 #include "common/obs.h"
 #include "common/serialize.h"
-#include "core/rank_cache.h"
 #include "nasbench/dataset_id.h"
 #include "nn/loss.h"
 #include "nn/optim.h"
-#include "nn/quant.h"
 #include "pareto/pareto.h"
 #include "search/evaluator.h"
 
 namespace hwpr::core
 {
 
-/** Frozen rank-path state: int8 snapshots of the three MLP stages
- *  plus encoding memo tables per branch. */
-struct HwPrNas::RankState
-{
-    nn::QuantizedMlp accHead;
-    std::vector<nn::QuantizedMlp> latHeads;
-    nn::QuantizedMlp combiner;
-    EncodingCache accCache;
-    EncodingCache latCache;
-};
-
 HwPrNas::HwPrNas(const HwPrNasConfig &cfg, nasbench::DatasetId dataset,
                  std::uint64_t seed)
-    : cfg_(cfg), dataset_(dataset), rng_(seed)
+    : Surrogate("hwprnas"), cfg_(cfg), dataset_(dataset), rng_(seed)
 {
 }
-
-HwPrNas::~HwPrNas() = default;
 
 std::size_t
 HwPrNas::headIndex(hw::PlatformId platform) const
@@ -84,27 +69,22 @@ HwPrNas::buildModel(
     comb_cfg.activation = nn::Activation::Tanh;
     combiner_ =
         std::make_unique<nn::Mlp>(comb_cfg, rng_, "combiner");
+
+    // Trunks: 0 accuracy, 1 latency. Heads: 0 accuracy, 1 + h latency
+    // head h, then the combiner.
+    std::vector<const nn::Mlp *> heads = {accHead_.get()};
+    for (const auto &h : latHeads_)
+        heads.push_back(h.get());
+    heads.push_back(combiner_.get());
+    declareModel({accEncoder_.get(), latEncoder_.get()},
+                 std::move(heads));
 }
 
 HwPrNas::Forward
-HwPrNas::forward(const std::vector<nasbench::Architecture> &archs,
-                 std::size_t head, bool training, Rng &rng) const
-{
-    Forward out;
-    const nn::Tensor acc_enc = accEncoder_->encode(archs);
-    out.accPred = accHead_->forward(acc_enc, training, rng);
-    const nn::Tensor lat_enc = latEncoder_->encode(archs);
-    out.latPred = latHeads_[head]->forward(lat_enc, training, rng);
-    out.score = combiner_->forward(
-        nn::concatCols(out.accPred, out.latPred), training, rng);
-    return out;
-}
-
-HwPrNas::Forward
-HwPrNas::forwardCached(const EncoderCache &acc_cache,
-                       const EncoderCache &lat_cache,
-                       const std::vector<std::size_t> &batch,
-                       std::size_t head, bool training, Rng &rng) const
+HwPrNas::forward(const EncoderCache &acc_cache,
+                 const EncoderCache &lat_cache,
+                 const std::vector<std::size_t> &batch, std::size_t head,
+                 bool training, Rng &rng) const
 {
     Forward out;
     const nn::Tensor acc_enc =
@@ -116,6 +96,23 @@ HwPrNas::forwardCached(const EncoderCache &acc_cache,
     out.score = combiner_->forward(
         nn::concatCols(out.accPred, out.latPred), training, rng);
     return out;
+}
+
+HwPrNas::FitCaches
+HwPrNas::buildFitCaches(
+    const std::vector<nasbench::Architecture> &train_archs,
+    const std::vector<nasbench::Architecture> &val_archs) const
+{
+    HWPR_SPAN("hwprnas.fit.prep",
+              {{"train_size", double(train_archs.size())},
+               {"val_size", double(val_archs.size())}});
+    static obs::Histogram &prep_hist =
+        obs::Registry::global().histogram("hwprnas.fit.prep_us");
+    obs::ScopedTimer prep_timer(prep_hist);
+    return {accEncoder_->buildCache(train_archs),
+            latEncoder_->buildCache(train_archs),
+            accEncoder_->buildCache(val_archs),
+            latEncoder_->buildCache(val_archs)};
 }
 
 void
@@ -217,36 +214,11 @@ HwPrNas::train(const std::vector<const nasbench::ArchRecord *> &train,
         val_all[i] = i;
     const std::vector<int> val_ranks = batch_ranks(val_all, val_pts);
 
-    // Fit-time fast path: deterministic encoder inputs are computed
-    // once (encoding cache), bit-identical to the plain path;
-    // setTrainFastPath(false) switches the plain path back on for
-    // tests.
-    const bool fast = trainFastPath();
-    EncoderCache acc_train_cache, lat_train_cache;
-    EncoderCache acc_val_cache, lat_val_cache;
-    static obs::Histogram &prep_hist =
-        obs::Registry::global().histogram("hwprnas.fit.prep_us");
-    if (fast) {
-        HWPR_SPAN("hwprnas.fit.prep",
-                  {{"train_size", double(train_archs.size())},
-                   {"val_size", double(val_archs.size())}});
-        obs::ScopedTimer prep_timer(prep_hist);
-        acc_train_cache = accEncoder_->buildCache(train_archs);
-        lat_train_cache = latEncoder_->buildCache(train_archs);
-        acc_val_cache = accEncoder_->buildCache(val_archs);
-        lat_val_cache = latEncoder_->buildCache(val_archs);
-    }
-
+    const FitCaches caches = buildFitCaches(train_archs, val_archs);
     auto train_forward = [&](const std::vector<std::size_t> &batch,
                              bool training) {
-        if (fast)
-            return forwardCached(acc_train_cache, lat_train_cache,
-                                 batch, head, training, rng_);
-        std::vector<nasbench::Architecture> archs;
-        archs.reserve(batch.size());
-        for (std::size_t idx : batch)
-            archs.push_back(train_archs[idx]);
-        return forward(archs, head, training, rng_);
+        return forward(caches.accTrain, caches.latTrain, batch, head,
+                       training, rng_);
     };
 
     double best_val = 1e300;
@@ -290,10 +262,8 @@ HwPrNas::train(const std::vector<const nasbench::ArchRecord *> &train,
                 last_batch_loss = loss.value()(0, 0);
         }
 
-        const Forward vf =
-            fast ? forwardCached(acc_val_cache, lat_val_cache,
-                                 val_all, head, false, rng_)
-                 : forward(val_archs, head, false, rng_);
+        const Forward vf = forward(caches.accVal, caches.latVal,
+                                   val_all, head, false, rng_);
         const double vloss =
             joint_loss(vf, val_ranks, val_accn, val_latn)
                 .value()(0, 0);
@@ -346,7 +316,7 @@ HwPrNas::train(const std::vector<const nasbench::ArchRecord *> &train,
             }
         }
     }
-    rank_.reset();
+    invalidateRank();
     trained_ = true;
 }
 
@@ -447,8 +417,8 @@ HwPrNas::trainMultiPlatform(
 
     // Joint loss over all platforms: the shared encoders/acc branch
     // see the sum of every platform's listwise + RMSE terms. Encoding
-    // happens in the caller (cached or plain); the encoders consume no
-    // RNG, so the dropout draw order is unchanged.
+    // happens in the caller; the encoders consume no RNG, so the
+    // dropout draw order is unchanged.
     auto joint_loss =
         [&](const nn::Tensor &acc_enc, const nn::Tensor &lat_enc,
             const std::vector<std::size_t> &batch,
@@ -490,34 +460,7 @@ HwPrNas::trainMultiPlatform(
     for (std::size_t i = 0; i < val_all.size(); ++i)
         val_all[i] = i;
 
-    const bool fast = trainFastPath();
-    EncoderCache acc_train_cache, lat_train_cache;
-    EncoderCache acc_val_cache, lat_val_cache;
-    static obs::Histogram &prep_hist =
-        obs::Registry::global().histogram("hwprnas.fit.prep_us");
-    if (fast) {
-        HWPR_SPAN("hwprnas.fit.prep",
-                  {{"train_size", double(train_archs.size())},
-                   {"val_size", double(val_archs.size())}});
-        obs::ScopedTimer prep_timer(prep_hist);
-        acc_train_cache = accEncoder_->buildCache(train_archs);
-        lat_train_cache = latEncoder_->buildCache(train_archs);
-        acc_val_cache = accEncoder_->buildCache(val_archs);
-        lat_val_cache = latEncoder_->buildCache(val_archs);
-    }
-
-    auto encode_train = [&](const std::vector<std::size_t> &batch) {
-        if (fast)
-            return std::make_pair(
-                accEncoder_->encodeCached(acc_train_cache, batch),
-                latEncoder_->encodeCached(lat_train_cache, batch));
-        std::vector<nasbench::Architecture> archs;
-        archs.reserve(batch.size());
-        for (std::size_t idx : batch)
-            archs.push_back(train_archs[idx]);
-        return std::make_pair(accEncoder_->encode(archs),
-                              latEncoder_->encode(archs));
-    };
+    const FitCaches caches = buildFitCaches(train_archs, val_archs);
 
     double best_val = 1e300;
     std::size_t since_best = 0;
@@ -545,26 +488,19 @@ HwPrNas::trainMultiPlatform(
                 opt.setLearningRate(schedule.at(step));
             ++step;
             opt.zeroGrad();
-            const auto [acc_enc, lat_enc] = encode_train(batch);
-            nn::Tensor loss = joint_loss(acc_enc, lat_enc, batch,
-                                         train_pts, acc_t, lat_t,
-                                         true);
+            nn::Tensor loss = joint_loss(
+                accEncoder_->encodeCached(caches.accTrain, batch),
+                latEncoder_->encodeCached(caches.latTrain, batch),
+                batch, train_pts, acc_t, lat_t, true);
             nn::backward(loss);
             opt.step();
             if (obs::metricsEnabled())
                 last_batch_loss = loss.value()(0, 0);
         }
-        const auto [vacc_enc, vlat_enc] =
-            fast ? std::make_pair(
-                       accEncoder_->encodeCached(acc_val_cache,
-                                                 val_all),
-                       latEncoder_->encodeCached(lat_val_cache,
-                                                 val_all))
-                 : std::make_pair(accEncoder_->encode(val_archs),
-                                  latEncoder_->encode(val_archs));
         const double vloss =
-            joint_loss(vacc_enc, vlat_enc, val_all, val_pts,
-                       val_accn, val_latn, false)
+            joint_loss(accEncoder_->encodeCached(caches.accVal, val_all),
+                       latEncoder_->encodeCached(caches.latVal, val_all),
+                       val_all, val_pts, val_accn, val_latn, false)
                 .value()(0, 0);
         valLossHistory_.push_back(vloss);
         if (obs::metricsEnabled()) {
@@ -586,112 +522,52 @@ HwPrNas::trainMultiPlatform(
         }
     }
     restoreParams(params, best_params);
-    rank_.reset();
+    invalidateRank();
     trained_ = true;
 }
 
 void
-HwPrNas::fusedForward(std::span<const nasbench::Architecture> archs,
-                      std::size_t head, BatchPlan &plan, Matrix &out,
-                      RawForward *aux) const
+HwPrNas::branchChunk(const ChunkPass &pass, std::size_t head,
+                     Matrix &branches) const
 {
-    if (aux) {
-        aux->accNorm.resize(archs.size());
-        aux->latNorm.resize(archs.size());
+    Matrix &acc = pass.buffer(1);
+    pass.head(0, pass.encode(0), acc);
+    Matrix &lat = pass.buffer(1);
+    pass.head(1 + head, pass.encode(1), lat);
+    // The combiner input is the same values hconcat(acc, lat) copies,
+    // just gathered into recycled scratch.
+    for (std::size_t r = 0; r < pass.archs.size(); ++r) {
+        branches(r, 0) = acc(r, 0);
+        branches(r, 1) = lat(r, 0);
     }
-    plan.forEachChunk(
-        "hwprnas",
-        [&](nn::PredictScratch &s, std::size_t i0, std::size_t i1) {
-            const std::span<const nasbench::Architecture> sub =
-                archs.subspan(i0, i1 - i0);
-            const std::size_t len = sub.size();
-            const Matrix &acc_enc =
-                accEncoder_->encodeBatchInto(sub, s);
-            Matrix &acc = s.acquire(len, 1);
-            accHead_->predictBatchInto(acc_enc, s, acc);
-            const Matrix &lat_enc =
-                latEncoder_->encodeBatchInto(sub, s);
-            Matrix &lat = s.acquire(len, 1);
-            latHeads_[head]->predictBatchInto(lat_enc, s, lat);
-            // The combiner input is the same values hconcat(acc, lat)
-            // copies, just gathered into recycled scratch.
-            Matrix &comb = s.acquire(len, 2);
-            for (std::size_t r = 0; r < len; ++r) {
-                comb(r, 0) = acc(r, 0);
-                comb(r, 1) = lat(r, 0);
-            }
-            Matrix &score = s.acquire(len, 1);
-            combiner_->predictBatchInto(comb, s, score);
-            for (std::size_t i = i0; i < i1; ++i) {
-                out(i, 0) = score(i - i0, 0);
-                if (aux) {
-                    aux->accNorm[i] = acc(i - i0, 0);
-                    aux->latNorm[i] = lat(i - i0, 0);
-                }
-            }
-        });
 }
 
-HwPrNas::RawForward
-HwPrNas::rawForward(std::span<const nasbench::Architecture> archs,
-                    std::size_t head) const
+void
+HwPrNas::chunk(const ChunkPass &pass, Matrix &out) const
+{
+    Matrix &branches = pass.buffer(2);
+    branchChunk(pass, headIndex(platform_), branches);
+    Matrix &score = pass.buffer(1);
+    pass.head(1 + latHeads_.size(), branches, score);
+    for (std::size_t r = 0; r < pass.archs.size(); ++r)
+        out(pass.row0 + r, 0) = score(r, 0);
+}
+
+Matrix
+HwPrNas::branchOutputs(std::span<const nasbench::Architecture> archs,
+                       std::size_t head) const
 {
     HWPR_CHECK(trained_, "prediction before train()");
-    RawForward out;
     BatchPlan plan;
-    fusedForward(archs, head, plan, plan.prepare(archs.size(), 1), &out);
-    return out;
-}
-
-void
-HwPrNas::predictInto(std::span<const nasbench::Architecture> archs,
-                     BatchPlan &plan, Matrix &out) const
-{
-    fusedForward(archs, headIndex(platform_), plan, out, nullptr);
-}
-
-void
-HwPrNas::rankInto(std::span<const nasbench::Architecture> archs,
-                  BatchPlan &plan, Matrix &out) const
-{
-    const std::size_t head = headIndex(platform_);
-    RankState &rank = rank_.get([this] {
-        auto state = std::make_unique<RankState>();
-        state->accHead = nn::QuantizedMlp(*accHead_);
-        state->latHeads.reserve(latHeads_.size());
-        for (const auto &h : latHeads_)
-            state->latHeads.emplace_back(*h);
-        state->combiner = nn::QuantizedMlp(*combiner_);
-        state->accCache.init(accEncoder_->dim());
-        state->latCache.init(latEncoder_->dim());
-        return state;
-    });
-    plan.forEachChunk(
-        "hwprnas_rank",
-        [&](nn::PredictScratch &s, std::size_t i0, std::size_t i1) {
-            const std::span<const nasbench::Architecture> sub =
-                archs.subspan(i0, i1 - i0);
-            const std::size_t len = sub.size();
-            Matrix &acc_enc = s.acquire(len, rank.accCache.width());
-            gatherEncodings(*accEncoder_, sub, rank.accCache, s,
-                            acc_enc);
-            Matrix &acc = s.acquire(len, 1);
-            rank.accHead.predictBatchInto(acc_enc, s, acc);
-            Matrix &lat_enc = s.acquire(len, rank.latCache.width());
-            gatherEncodings(*latEncoder_, sub, rank.latCache, s,
-                            lat_enc);
-            Matrix &lat = s.acquire(len, 1);
-            rank.latHeads[head].predictBatchInto(lat_enc, s, lat);
-            Matrix &comb = s.acquire(len, 2);
-            for (std::size_t r = 0; r < len; ++r) {
-                comb(r, 0) = acc(r, 0);
-                comb(r, 1) = lat(r, 0);
-            }
-            Matrix &score = s.acquire(len, 1);
-            rank.combiner.predictBatchInto(comb, s, score);
-            for (std::size_t i = i0; i < i1; ++i)
-                out(i, 0) = score(i - i0, 0);
-        });
+    predictPass(archs, plan, 2,
+                [this, head](const ChunkPass &pass, Matrix &out) {
+                    Matrix &branches = pass.buffer(2);
+                    branchChunk(pass, head, branches);
+                    for (std::size_t r = 0; r < pass.archs.size(); ++r)
+                        for (std::size_t c = 0; c < 2; ++c)
+                            out(pass.row0 + r, c) = branches(r, c);
+                });
+    return std::move(plan.output());
 }
 
 void
@@ -707,10 +583,10 @@ HwPrNas::predictLatencyFor(
     hw::PlatformId platform) const
 {
     const std::size_t head = headIndex(platform);
-    const RawForward f = rawForward(archs, head);
+    const Matrix b = branchOutputs(archs, head);
     std::vector<double> out(archs.size());
     for (std::size_t i = 0; i < archs.size(); ++i)
-        out[i] = std::exp(latScalers_[head].denorm(f.latNorm[i]));
+        out[i] = std::exp(latScalers_[head].denorm(b(i, 1)));
     return out;
 }
 
@@ -718,10 +594,10 @@ std::vector<double>
 HwPrNas::predictAccuracy(
     const std::vector<nasbench::Architecture> &archs) const
 {
-    const RawForward f = rawForward(archs, headIndex(platform_));
+    const Matrix b = branchOutputs(archs, headIndex(platform_));
     std::vector<double> out(archs.size());
     for (std::size_t i = 0; i < archs.size(); ++i)
-        out[i] = accScaler_.denorm(f.accNorm[i]);
+        out[i] = accScaler_.denorm(b(i, 0));
     return out;
 }
 
@@ -785,10 +661,7 @@ HwPrNas::writeBody(BinaryWriter &w) const
     writeFeatureScaler(w, latEncoder_->scaler());
 
     // Parameters, in params() order (construction-deterministic).
-    const auto all = params();
-    w.writeU64(all.size());
-    for (const auto &p : all)
-        w.writeMatrix(p.value());
+    writeParams(w, params());
 }
 
 std::unique_ptr<HwPrNas>
@@ -823,8 +696,8 @@ HwPrNas::load(const std::string &path)
     model->accScaler_ = readTargetScaler(r);
     for (auto &scaler : model->latScalers_)
         scaler = readTargetScaler(r);
-    const auto acc_scaler = readFeatureScaler(r);
-    const auto lat_scaler = readFeatureScaler(r);
+    auto acc_scaler = readFeatureScaler(r);
+    auto lat_scaler = readFeatureScaler(r);
     if (!r.ok())
         return nullptr;
 
@@ -833,19 +706,10 @@ HwPrNas::load(const std::string &path)
     Rng dummy_rng(0);
     model->buildModel({nasbench::nasBench201().sample(dummy_rng)},
                       0.0);
-    model->accEncoder_->setScaler(acc_scaler);
-    model->latEncoder_->setScaler(lat_scaler);
-
-    auto all = model->params();
-    if (r.readU64() != all.size())
+    if (!model->accEncoder_->setScaler(std::move(acc_scaler)) ||
+        !model->latEncoder_->setScaler(std::move(lat_scaler)) ||
+        !readParams(r, model->params()))
         return nullptr;
-    for (auto &p : all) {
-        Matrix m = r.readMatrix();
-        if (!r.ok() || m.rows() != p.value().rows() ||
-            m.cols() != p.value().cols())
-            return nullptr;
-        p.valueMut() = std::move(m);
-    }
     model->trained_ = true;
     return model;
 }

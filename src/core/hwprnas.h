@@ -29,7 +29,6 @@
 
 #include "common/serialize.h"
 #include "core/encoding.h"
-#include "core/rank_cache.h"
 #include "core/surrogate.h"
 #include "core/train_util.h"
 #include "hw/platform.h"
@@ -84,8 +83,6 @@ class HwPrNas : public Surrogate
   public:
     HwPrNas(const HwPrNasConfig &cfg, nasbench::DatasetId dataset,
             std::uint64_t seed);
-    /** Out of line: RankState is incomplete here. */
-    ~HwPrNas() override;
 
     // Surrogate interface -------------------------------------------
 
@@ -103,8 +100,6 @@ class HwPrNas : public Surrogate
     void fit(const SurrogateDataset &data, ExecContext &ctx) override;
 
     bool trained() const override { return trained_; }
-
-    std::string familyLabel() const override { return "hwprnas"; }
 
     /** Training hyperparameters used by fit(). */
     void setFitConfig(const TrainConfig &cfg) { fitConfig_ = cfg; }
@@ -165,8 +160,7 @@ class HwPrNas : public Surrogate
      * Per-epoch validation losses of the last train() /
      * trainMultiPlatform() call, in epoch order. Used by bench_train
      * and the reproducibility tests to assert that the same-seed loss
-     * trajectory is bit-identical across thread counts and with the
-     * fast-path optimizations toggled on or off.
+     * trajectory is bit-identical across thread counts.
      */
     const std::vector<double> &valLossHistory() const
     {
@@ -192,19 +186,13 @@ class HwPrNas : public Surrogate
     static std::unique_ptr<HwPrNas> load(const std::string &path);
 
   protected:
-    /** Fused encode+heads+combiner pass: the active head's scores. */
-    void predictInto(std::span<const nasbench::Architecture> archs,
-                     BatchPlan &plan, Matrix &out) const override;
-
     /**
-     * Rank-only fast path: memoized frozen-encoder encodings plus
-     * int8-quantized heads and combiner. Scores approximate
-     * predictBatch() (Kendall tau gated >= 0.98 in CI) and are
-     * deterministic at every thread count. Freezes the quantized
-     * state lazily on first call; re-training invalidates it.
+     * Accuracy and active latency head over their trunks, then the
+     * combiner over the two branch outputs: one score per row. On
+     * rankBatch() the heads and combiner run int8 (Kendall tau gated
+     * >= 0.98 in CI).
      */
-    void rankInto(std::span<const nasbench::Architecture> archs,
-                  BatchPlan &plan, Matrix &out) const override;
+    void chunk(const ChunkPass &pass, Matrix &out) const override;
 
   private:
     struct Forward
@@ -214,42 +202,40 @@ class HwPrNas : public Surrogate
         nn::Tensor score;
     };
 
-    Forward forward(const std::vector<nasbench::Architecture> &archs,
+    /**
+     * Deterministic encoder inputs of both trunks, computed once per
+     * fit (the encoder passes themselves run every step).
+     */
+    struct FitCaches
+    {
+        EncoderCache accTrain;
+        EncoderCache latTrain;
+        EncoderCache accVal;
+        EncoderCache latVal;
+    };
+
+    FitCaches
+    buildFitCaches(const std::vector<nasbench::Architecture> &train_archs,
+                   const std::vector<nasbench::Architecture> &val_archs)
+        const;
+
+    /** Training forward of @p batch over fit-time encoding caches. */
+    Forward forward(const EncoderCache &acc_cache,
+                    const EncoderCache &lat_cache,
+                    const std::vector<std::size_t> &batch,
                     std::size_t head, bool training, Rng &rng) const;
 
     /**
-     * Training forward over fit-time encoding caches: identical math
-     * (and RNG draw order) to forward(), minus the per-step encoding
-     * input recomputation.
+     * Normalized accuracy and latency-head @p head outputs of one
+     * chunk, gathered into the (len x 2) combiner input @p branches.
      */
-    Forward forwardCached(const EncoderCache &acc_cache,
-                          const EncoderCache &lat_cache,
-                          const std::vector<std::size_t> &batch,
-                          std::size_t head, bool training,
-                          Rng &rng) const;
+    void branchChunk(const ChunkPass &pass, std::size_t head,
+                     Matrix &branches) const;
 
-    /** Normalized branch outputs of the raw inference forward. */
-    struct RawForward
-    {
-        std::vector<double> accNorm; ///< standardized accuracy
-        std::vector<double> latNorm; ///< standardized log-latency
-    };
-
-    /**
-     * Fused batched inference: encode + heads + combiner per chunk
-     * against the plan's scratch, chunks fanned out over the
-     * ExecContext pool into disjoint rows of @p out (bit-identical at
-     * any thread count). The normalized branch outputs additionally
-     * land in @p aux when it is non-null.
-     */
-    void fusedForward(std::span<const nasbench::Architecture> archs,
-                      std::size_t head, BatchPlan &plan, Matrix &out,
-                      RawForward *aux) const;
-
-    /** Branch outputs through a per-call plan (the accuracy and
-     *  latency accessors). */
-    RawForward rawForward(std::span<const nasbench::Architecture> archs,
-                          std::size_t head) const;
+    /** Branch outputs (normalized accuracy, latency) of every row,
+     *  through a per-call plan (the accuracy and latency accessors). */
+    Matrix branchOutputs(std::span<const nasbench::Architecture> archs,
+                         std::size_t head) const;
 
     std::size_t headIndex(hw::PlatformId platform) const;
 
@@ -283,12 +269,6 @@ class HwPrNas : public Surrogate
     std::array<TargetScaler, hw::kNumPlatforms> latScalers_;
     std::vector<double> valLossHistory_;
     bool trained_ = false;
-
-    /** Quantized heads + encoding memos of the rank path; reset
-     *  whenever training runs so the freeze snapshots the final
-     *  weights. */
-    struct RankState;
-    RankFreeze<RankState> rank_;
 };
 
 } // namespace hwpr::core

@@ -6,19 +6,10 @@
 #include "common/obs.h"
 #include "common/stats.h"
 #include "common/threadpool.h"
-#include "core/rank_cache.h"
 #include "nasbench/space.h"
-#include "nn/quant.h"
 
 namespace hwpr::core
 {
-
-/** Frozen rank-path state; see HwPrNas::RankState. */
-struct MetricPredictor::RankState
-{
-    nn::QuantizedMlp head;
-    EncodingCache cache;
-};
 
 std::string
 regressorName(RegressorKind kind)
@@ -44,29 +35,6 @@ MetricPredictor::MetricPredictor(EncodingKind encoding,
 {
     // The encoder itself is built lazily in train() because the AF
     // scaler needs the training architectures.
-}
-
-MetricPredictor::~MetricPredictor() = default;
-
-void
-MetricPredictor::rankChunk(
-    std::span<const nasbench::Architecture> archs,
-    nn::PredictScratch &scratch, double *out) const
-{
-    HWPR_ASSERT(regressor_ == RegressorKind::Mlp,
-                "rankChunk is NN-only");
-    RankState &rank = rank_.get([this] {
-        auto state = std::make_unique<RankState>();
-        state->head = nn::QuantizedMlp(*head_);
-        state->cache.init(encoder_->dim());
-        return state;
-    });
-    Matrix &enc = scratch.acquire(archs.size(), rank.cache.width());
-    gatherEncodings(*encoder_, archs, rank.cache, scratch, enc);
-    Matrix &pred = scratch.acquire(archs.size(), 1);
-    rank.head.predictBatchInto(enc, scratch, pred);
-    for (std::size_t i = 0; i < archs.size(); ++i)
-        out[i] = targetScaler_.denorm(pred(i, 0));
 }
 
 Matrix
@@ -95,15 +63,6 @@ MetricPredictor::gbdtFeatures(
                           : 1.0;
     }
     return x;
-}
-
-nn::Tensor
-MetricPredictor::forwardNn(
-    const std::vector<nasbench::Architecture> &archs, bool training,
-    Rng &rng) const
-{
-    const nn::Tensor enc = encoder_->encode(archs);
-    return head_->forward(enc, training, rng);
 }
 
 void
@@ -147,7 +106,6 @@ MetricPredictor::train(
                 ? gbdt::xgboostConfig()
                 : gbdt::lgboostConfig());
         trees_->fit(x, train_yn, rng_, &xv, &val_yn);
-        rank_.reset();
         trained_ = true;
         return;
     }
@@ -161,6 +119,7 @@ MetricPredictor::train(
     mlp_cfg.outDim = 1;
     mlp_cfg.dropout = cfg.dropout;
     head_ = std::make_unique<nn::Mlp>(mlp_cfg, rng_, "pred");
+    model_.declare({encoder_.get()}, {head_.get()});
 
     std::vector<nn::Tensor> params = encoder_->params();
     for (const auto &p : head_->params())
@@ -172,29 +131,13 @@ MetricPredictor::train(
     nn::CosineAnnealing schedule(cfg.lr,
                                  cfg.epochs * steps_per_epoch);
 
-    // Fit-time fast path (encoding cache), bit-identical to the plain
-    // path; see core/train_util.h.
-    const bool fast = trainFastPath();
-    EncoderCache cache, val_cache;
-    if (fast) {
-        cache = encoder_->buildCache(train_archs);
-        val_cache = encoder_->buildCache(val_archs);
-    }
+    // Deterministic encoder inputs, computed once per fit.
+    const EncoderCache cache = encoder_->buildCache(train_archs);
+    const EncoderCache val_cache = encoder_->buildCache(val_archs);
 
     std::vector<std::size_t> val_all(val_archs.size());
     for (std::size_t i = 0; i < val_all.size(); ++i)
         val_all[i] = i;
-
-    auto train_forward = [&](const std::vector<std::size_t> &batch) {
-        if (fast)
-            return head_->forward(encoder_->encodeCached(cache, batch),
-                                  true, rng_);
-        std::vector<nasbench::Architecture> archs;
-        archs.reserve(batch.size());
-        for (std::size_t idx : batch)
-            archs.push_back(train_archs[idx]);
-        return forwardNn(archs, true, rng_);
-    };
 
     double best_val = 1e300;
     std::size_t since_best = 0;
@@ -218,7 +161,8 @@ MetricPredictor::train(
                 opt.setLearningRate(schedule.at(step));
             ++step;
             opt.zeroGrad();
-            const nn::Tensor pred = train_forward(batch);
+            const nn::Tensor pred = head_->forward(
+                encoder_->encodeCached(cache, batch), true, rng_);
             nn::Tensor loss;
             switch (cfg.loss) {
               case LossKind::Mse:
@@ -241,11 +185,8 @@ MetricPredictor::train(
         }
 
         // Validation loss (same objective, no dropout).
-        const nn::Tensor vp =
-            fast ? head_->forward(
-                       encoder_->encodeCached(val_cache, val_all),
-                       false, rng_)
-                 : forwardNn(val_archs, false, rng_);
+        const nn::Tensor vp = head_->forward(
+            encoder_->encodeCached(val_cache, val_all), false, rng_);
         double vloss = 0.0;
         switch (cfg.loss) {
           case LossKind::Mse:
@@ -279,7 +220,6 @@ MetricPredictor::train(
         }
     }
     restoreParams(params, best_params);
-    rank_.reset();
     trained_ = true;
 }
 
@@ -287,44 +227,24 @@ std::vector<double>
 MetricPredictor::predict(
     std::span<const nasbench::Architecture> archs) const
 {
-    BatchPlan plan;
-    predict(archs, plan);
-    return std::move(plan.output().raw());
-}
-
-const Matrix &
-MetricPredictor::predict(std::span<const nasbench::Architecture> archs,
-                         BatchPlan &plan) const
-{
     HWPR_CHECK(trained_, "predict() before train()");
-    Matrix &out = plan.prepare(archs.size(), 1);
+    BatchPlan plan;
     if (regressor_ != RegressorKind::Mlp) {
+        Matrix &out = plan.prepare(archs.size(), 1);
         const Matrix p = trees_->predictBatch(gbdtFeatures(archs));
         for (std::size_t i = 0; i < archs.size(); ++i)
             out(i, 0) = targetScaler_.denorm(p(i, 0));
-        return out;
+    } else {
+        model_.run("predictor", false, archs, plan, 1,
+                   [this](const ChunkPass &pass, Matrix &out) {
+                       Matrix &pred = pass.buffer(1);
+                       pass.head(0, pass.encode(0), pred);
+                       for (std::size_t r = 0; r < pass.archs.size(); ++r)
+                           out(pass.row0 + r, 0) =
+                               targetScaler_.denorm(pred(r, 0));
+                   });
     }
-    plan.forEachChunk(
-        "predictor",
-        [&](nn::PredictScratch &s, std::size_t i0, std::size_t i1) {
-            predictChunk(archs.subspan(i0, i1 - i0), s,
-                         &out.raw()[i0]);
-        });
-    return out;
-}
-
-void
-MetricPredictor::predictChunk(
-    std::span<const nasbench::Architecture> archs,
-    nn::PredictScratch &scratch, double *out) const
-{
-    HWPR_ASSERT(regressor_ == RegressorKind::Mlp,
-                "predictChunk is NN-only");
-    const Matrix &enc = encoder_->encodeBatchInto(archs, scratch);
-    Matrix &pred = scratch.acquire(archs.size(), 1);
-    head_->predictBatchInto(enc, scratch, pred);
-    for (std::size_t i = 0; i < archs.size(); ++i)
-        out[i] = targetScaler_.denorm(pred(i, 0));
+    return std::move(plan.output().raw());
 }
 
 namespace
@@ -359,9 +279,7 @@ MetricPredictor::saveTo(BinaryWriter &w) const
     std::vector<nn::Tensor> params = encoder_->params();
     for (const auto &p : head_->params())
         params.push_back(p);
-    w.writeU64(params.size());
-    for (const auto &p : params)
-        w.writeMatrix(p.value());
+    writeParams(w, params);
 }
 
 std::unique_ptr<MetricPredictor>
@@ -419,7 +337,8 @@ MetricPredictor::loadFrom(BinaryReader &r)
         std::vector<nasbench::Architecture>{
             nasbench::nasBench201().sample(dummy_rng)},
         pred->rng_);
-    pred->encoder_->setScaler(std::move(scaler));
+    if (!pred->encoder_->setScaler(std::move(scaler)))
+        return nullptr;
     nn::MlpConfig mlp_cfg;
     mlp_cfg.inDim = pred->encoder_->dim();
     mlp_cfg.hidden = hidden;
@@ -431,15 +350,9 @@ MetricPredictor::loadFrom(BinaryReader &r)
     std::vector<nn::Tensor> params = pred->encoder_->params();
     for (const auto &p : pred->head_->params())
         params.push_back(p);
-    if (r.readU64() != params.size())
+    if (!readParams(r, params))
         return nullptr;
-    for (auto &p : params) {
-        Matrix m = r.readMatrix();
-        if (!r.ok() || m.rows() != p.value().rows() ||
-            m.cols() != p.value().cols())
-            return nullptr;
-        p.valueMut() = std::move(m);
-    }
+    pred->model_.declare({pred->encoder_.get()}, {pred->head_.get()});
     pred->trained_ = true;
     return pred;
 }

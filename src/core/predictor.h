@@ -22,7 +22,7 @@
 #include "common/serialize.h"
 #include "core/batch_plan.h"
 #include "core/encoding.h"
-#include "core/rank_cache.h"
+#include "core/surrogate.h"
 #include "core/train_util.h"
 #include "gbdt/gbdt.h"
 #include "nn/layers.h"
@@ -76,8 +76,6 @@ class MetricPredictor
     MetricPredictor(EncodingKind encoding, const EncoderConfig &enc_cfg,
                     RegressorKind regressor,
                     nasbench::DatasetId dataset, std::uint64_t seed);
-    /** Out of line: RankState is incomplete here. */
-    ~MetricPredictor();
 
     /**
      * Train on oracle records. NN predictors optimize the configured
@@ -100,37 +98,6 @@ class MetricPredictor
     predict(std::span<const nasbench::Architecture> archs) const;
 
     /**
-     * Fused prediction against a caller-held plan (NN path: one
-     * encode+head pass per chunk over recycled scratch; GBDT path
-     * unchanged). The plan's (n x 1) output holds the denormalized
-     * metric. Bit-identical to predict().
-     */
-    const Matrix &
-    predict(std::span<const nasbench::Architecture> archs,
-            BatchPlan &plan) const;
-
-    /**
-     * Per-chunk fused kernel: predict @p archs against @p scratch,
-     * writing one denormalized value per architecture into @p out.
-     * The two-predictor baselines (BRP-NAS, GATES) call this from
-     * their fused passes so both predictors share one plan's scratch.
-     * NN regressors only.
-     */
-    void predictChunk(std::span<const nasbench::Architecture> archs,
-                      nn::PredictScratch &scratch, double *out) const;
-
-    /**
-     * Rank-only variant of predictChunk(): memoized frozen-encoder
-     * encodings + the int8-quantized head, same denormalization (a
-     * monotone transform, so ranking semantics are preserved). The
-     * first call after training freezes the rank state; concurrent
-     * chunks may race that freeze. NN regressors only, like
-     * predictChunk().
-     */
-    void rankChunk(std::span<const nasbench::Architecture> archs,
-                   nn::PredictScratch &scratch, double *out) const;
-
-    /**
      * Serialize the trained predictor (configuration, scalers and
      * either the encoder+head parameters or the tree ensemble) into
      * an enclosing checkpoint stream.
@@ -146,13 +113,19 @@ class MetricPredictor
     RegressorKind regressor() const { return regressor_; }
     EncodingKind encoding() const { return encoding_; }
 
+    /// @name The NN regressor's trunk, head and target scaler, which
+    /// the two-predictor baselines declare as their own (NN
+    /// regressors only, once trained or loaded).
+    /// @{
+    const ArchEncoder &encoder() const { return *encoder_; }
+    const nn::Mlp &head() const { return *head_; }
+    const TargetScaler &targetScaler() const { return targetScaler_; }
+    /// @}
+
   private:
     /** Dense feature rows for the GBDT regressors. */
     Matrix
     gbdtFeatures(std::span<const nasbench::Architecture> archs) const;
-
-    nn::Tensor forwardNn(const std::vector<nasbench::Architecture> &archs,
-                         bool training, Rng &rng) const;
 
     EncodingKind encoding_;
     EncoderConfig encCfg_;
@@ -165,10 +138,8 @@ class MetricPredictor
     nasbench::FeatureScaler gbdtScaler_;
     TargetScaler targetScaler_;
     bool trained_ = false;
-
-    /** Frozen rank-path state; see HwPrNas::RankState. */
-    struct RankState;
-    RankFreeze<RankState> rank_;
+    /** encoder_ and head_, for predict()'s chunk loop. */
+    TrunkHeads model_;
 };
 
 /** Kendall tau + RMSE of a predictor on held-out records. */

@@ -6,32 +6,21 @@
 #include "common/logging.h"
 #include "common/obs.h"
 #include "common/serialize.h"
-#include "core/rank_cache.h"
 #include "nasbench/dataset_id.h"
 #include "nn/loss.h"
 #include "nn/optim.h"
-#include "nn/quant.h"
 #include "pareto/pareto.h"
 #include "search/evaluator.h"
 
 namespace hwpr::core
 {
 
-/** Frozen rank-path state; see HwPrNas::RankState. */
-struct ScalableHwPrNas::RankState
-{
-    nn::QuantizedMlp mlp;
-    EncodingCache cache;
-};
-
 ScalableHwPrNas::ScalableHwPrNas(const ScalableConfig &cfg,
                                  nasbench::DatasetId dataset,
                                  std::uint64_t seed)
-    : cfg_(cfg), dataset_(dataset), rng_(seed)
+    : Surrogate("scalable"), cfg_(cfg), dataset_(dataset), rng_(seed)
 {
 }
-
-ScalableHwPrNas::~ScalableHwPrNas() = default;
 
 void
 ScalableHwPrNas::buildModel(
@@ -46,14 +35,7 @@ ScalableHwPrNas::buildModel(
     mlp_cfg.outDim = 1;
     mlp_cfg.dropout = dropout;
     mlp_ = std::make_unique<nn::Mlp>(mlp_cfg, rng_, "scalable_mlp");
-}
-
-nn::Tensor
-ScalableHwPrNas::forward(
-    const std::vector<nasbench::Architecture> &archs, bool training,
-    Rng &rng) const
-{
-    return mlp_->forward(encoder_->encode(archs), training, rng);
+    declareModel({encoder_.get()}, {mlp_.get()});
 }
 
 bool
@@ -73,9 +55,7 @@ ScalableHwPrNas::save(const std::string &path) const
         std::vector<nn::Tensor> params = encoder_->params();
         for (const auto &p : mlp_->params())
             params.push_back(p);
-        w.writeU64(params.size());
-        for (const auto &p : params)
-            w.writeMatrix(p.value());
+        writeParams(w, params);
     });
 }
 
@@ -112,20 +92,12 @@ ScalableHwPrNas::load(const std::string &path)
     Rng dummy_rng(0);
     model->buildModel({nasbench::nasBench201().sample(dummy_rng)},
                       0.0);
-    model->encoder_->setScaler(std::move(scaler));
-
     std::vector<nn::Tensor> params = model->encoder_->params();
     for (const auto &p : model->mlp_->params())
         params.push_back(p);
-    if (r.readU64() != params.size())
+    if (!model->encoder_->setScaler(std::move(scaler)) ||
+        !readParams(r, params))
         return nullptr;
-    for (auto &p : params) {
-        Matrix m = r.readMatrix();
-        if (!r.ok() || m.rows() != p.value().rows() ||
-            m.cols() != p.value().cols())
-            return nullptr;
-        p.valueMut() = std::move(m);
-    }
     model->trained_ = true;
     return model;
 }
@@ -186,24 +158,8 @@ ScalableHwPrNas::train(
         train_pts.push_back(
             search::trueObjectives(*rec, platform_, false));
 
-    const bool fast = trainFastPath();
-    EncoderCache cache, val_cache;
-    if (fast) {
-        cache = encoder_->buildCache(train_archs);
-        val_cache = encoder_->buildCache(val_archs);
-    }
-
-    auto train_forward = [&](const std::vector<std::size_t> &batch,
-                             bool training) {
-        if (fast)
-            return mlp_->forward(encoder_->encodeCached(cache, batch),
-                                 training, rng_);
-        std::vector<nasbench::Architecture> archs;
-        archs.reserve(batch.size());
-        for (std::size_t idx : batch)
-            archs.push_back(train_archs[idx]);
-        return forward(archs, training, rng_);
-    };
+    const EncoderCache cache = encoder_->buildCache(train_archs);
+    const EncoderCache val_cache = encoder_->buildCache(val_archs);
 
     double best_val = 1e300;
     std::size_t since_best = 0;
@@ -229,15 +185,14 @@ ScalableHwPrNas::train(
             ++step;
             opt.zeroGrad();
             nn::Tensor loss = nn::listMleParetoLoss(
-                train_forward(batch, true), ranks);
+                mlp_->forward(encoder_->encodeCached(cache, batch), true,
+                              rng_),
+                ranks);
             nn::backward(loss);
             opt.step();
         }
-        const nn::Tensor vp =
-            fast ? mlp_->forward(
-                       encoder_->encodeCached(val_cache, val_all),
-                       false, rng_)
-                 : forward(val_archs, false, rng_);
+        const nn::Tensor vp = mlp_->forward(
+            encoder_->encodeCached(val_cache, val_all), false, rng_);
         const double vloss =
             nn::listMleParetoLoss(vp, val_ranks).value()(0, 0);
         if (obs::metricsEnabled())
@@ -255,7 +210,7 @@ ScalableHwPrNas::train(
         }
     }
     restoreParams(params, best_params);
-    rank_.reset();
+    invalidateRank();
     trained_ = true;
     energyAware_ = false;
 }
@@ -278,10 +233,7 @@ ScalableHwPrNas::addEnergyObjective(
         train_pts.push_back(
             search::trueObjectives(*rec, platform_, true));
 
-    const bool fast = trainFastPath();
-    EncoderCache cache;
-    if (fast)
-        cache = encoder_->buildCache(train_archs);
+    const EncoderCache cache = encoder_->buildCache(train_archs);
 
     nn::AdamW opt(mlp_->params(), lr, 0.0);
     for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
@@ -293,14 +245,7 @@ ScalableHwPrNas::addEnergyObjective(
                 sub.push_back(train_pts[idx]);
             const std::vector<int> ranks = pareto::paretoRanks(sub);
             opt.zeroGrad();
-            const nn::Tensor enc =
-                fast ? encoder_->encodeCached(cache, batch) : [&] {
-                    std::vector<nasbench::Architecture> archs;
-                    archs.reserve(batch.size());
-                    for (std::size_t idx : batch)
-                        archs.push_back(train_archs[idx]);
-                    return encoder_->encode(archs);
-                }();
+            const nn::Tensor enc = encoder_->encodeCached(cache, batch);
             // The frozen encoding enters the MLP as a constant, so
             // backward stops at the MLP.
             const nn::Tensor pred = mlp_->forward(
@@ -311,7 +256,7 @@ ScalableHwPrNas::addEnergyObjective(
             opt.step();
         }
     }
-    rank_.reset();
+    invalidateRank();
     energyAware_ = true;
 }
 
@@ -323,45 +268,12 @@ ScalableHwPrNas::fit(const SurrogateDataset &data, ExecContext &ctx)
 }
 
 void
-ScalableHwPrNas::predictInto(
-    std::span<const nasbench::Architecture> archs, BatchPlan &plan,
-    Matrix &out) const
+ScalableHwPrNas::chunk(const ChunkPass &pass, Matrix &out) const
 {
-    plan.forEachChunk(
-        "scalable",
-        [&](nn::PredictScratch &s, std::size_t i0, std::size_t i1) {
-            const std::span<const nasbench::Architecture> sub =
-                archs.subspan(i0, i1 - i0);
-            const Matrix &enc = encoder_->encodeBatchInto(sub, s);
-            Matrix &score = s.acquire(sub.size(), 1);
-            mlp_->predictBatchInto(enc, s, score);
-            for (std::size_t i = i0; i < i1; ++i)
-                out(i, 0) = score(i - i0, 0);
-        });
-}
-
-void
-ScalableHwPrNas::rankInto(std::span<const nasbench::Architecture> archs,
-                          BatchPlan &plan, Matrix &out) const
-{
-    RankState &rank = rank_.get([this] {
-        auto state = std::make_unique<RankState>();
-        state->mlp = nn::QuantizedMlp(*mlp_);
-        state->cache.init(encoder_->dim());
-        return state;
-    });
-    plan.forEachChunk(
-        "scalable_rank",
-        [&](nn::PredictScratch &s, std::size_t i0, std::size_t i1) {
-            const std::span<const nasbench::Architecture> sub =
-                archs.subspan(i0, i1 - i0);
-            Matrix &enc = s.acquire(sub.size(), rank.cache.width());
-            gatherEncodings(*encoder_, sub, rank.cache, s, enc);
-            Matrix &score = s.acquire(sub.size(), 1);
-            rank.mlp.predictBatchInto(enc, s, score);
-            for (std::size_t i = i0; i < i1; ++i)
-                out(i, 0) = score(i - i0, 0);
-        });
+    Matrix &score = pass.buffer(1);
+    pass.head(0, pass.encode(0), score);
+    for (std::size_t r = 0; r < pass.archs.size(); ++r)
+        out(pass.row0 + r, 0) = score(r, 0);
 }
 
 } // namespace hwpr::core

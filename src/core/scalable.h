@@ -20,7 +20,6 @@
 
 #include "core/encoding.h"
 #include "core/hwprnas.h"
-#include "core/rank_cache.h"
 #include "core/surrogate.h"
 #include "nn/layers.h"
 
@@ -40,8 +39,6 @@ class ScalableHwPrNas : public Surrogate
   public:
     ScalableHwPrNas(const ScalableConfig &cfg,
                     nasbench::DatasetId dataset, std::uint64_t seed);
-    /** Out of line: RankState is incomplete here. */
-    ~ScalableHwPrNas() override;
 
     // Surrogate interface -------------------------------------------
 
@@ -62,8 +59,6 @@ class ScalableHwPrNas : public Surrogate
     void fit(const SurrogateDataset &data, ExecContext &ctx) override;
 
     bool trained() const override { return trained_; }
-
-    std::string familyLabel() const override { return "scalable"; }
 
     /** Training hyperparameters used by fit(). */
     void setFitConfig(const TrainConfig &cfg) { fitConfig_ = cfg; }
@@ -100,25 +95,14 @@ class ScalableHwPrNas : public Surrogate
     load(const std::string &path);
 
   protected:
-    /** Fused encode+MLP pass: one score per row. */
-    void predictInto(std::span<const nasbench::Architecture> archs,
-                     BatchPlan &plan, Matrix &out) const override;
-
-    /**
-     * Rank-only fast path: memoized frozen-encoder encodings + the
-     * int8-quantized score MLP (see HwPrNas::rankInto).
-     */
-    void rankInto(std::span<const nasbench::Architecture> archs,
-                  BatchPlan &plan, Matrix &out) const override;
+    /** The score MLP over the concatenated encoding: one score per
+     *  row (int8 on rankBatch()). */
+    void chunk(const ChunkPass &pass, Matrix &out) const override;
 
   private:
     void buildModel(
         const std::vector<nasbench::Architecture> &scaler_fit,
         double dropout);
-
-    nn::Tensor
-    forward(const std::vector<nasbench::Architecture> &archs,
-            bool training, Rng &rng) const;
 
     std::vector<int>
     ranksOf(const std::vector<const nasbench::ArchRecord *> &recs,
@@ -134,10 +118,6 @@ class ScalableHwPrNas : public Surrogate
     std::unique_ptr<nn::Mlp> mlp_;
     bool trained_ = false;
     bool energyAware_ = false;
-
-    /** Frozen rank-path state; see HwPrNas::RankState. */
-    struct RankState;
-    RankFreeze<RankState> rank_;
 };
 
 } // namespace hwpr::core

@@ -13,6 +13,7 @@
 #include "core/dominance.h"
 #include "core/hwprnas.h"
 #include "core/scalable.h"
+#include "nn/quant.h"
 
 namespace hwpr::core
 {
@@ -29,6 +30,95 @@ rankOnlyEnvEnabled()
 }
 
 } // namespace
+
+struct RankState
+{
+    explicit RankState(std::size_t trunks) : caches(trunks) {}
+
+    std::vector<EncodingCache> caches;
+    std::vector<nn::QuantizedMlp> heads;
+};
+
+const Matrix &
+ChunkPass::encode(std::size_t t) const
+{
+    const ArchEncoder &trunk = *model_.trunks_[t];
+    if (!rank_)
+        return trunk.encodeBatchInto(archs, scratch);
+    EncodingCache &cache = rank_->caches[t];
+    Matrix &enc = scratch.acquire(archs.size(), cache.width());
+    gatherEncodings(trunk, archs, cache, scratch, enc);
+    return enc;
+}
+
+void
+ChunkPass::head(std::size_t h, const Matrix &in, Matrix &out) const
+{
+    if (rank_)
+        rank_->heads[h].predictBatchInto(in, scratch, out);
+    else
+        model_.heads_[h]->predictBatchInto(in, scratch, out);
+}
+
+TrunkHeads::TrunkHeads() = default;
+TrunkHeads::~TrunkHeads() = default;
+
+void
+TrunkHeads::declare(std::vector<const ArchEncoder *> trunks,
+                    std::vector<const nn::Mlp *> heads)
+{
+    trunks_ = std::move(trunks);
+    heads_ = std::move(heads);
+}
+
+void
+TrunkHeads::invalidate()
+{
+    rank_.reset();
+}
+
+const Matrix &
+TrunkHeads::run(const char *family, bool rank,
+                std::span<const nasbench::Architecture> archs,
+                BatchPlan &plan, std::size_t cols,
+                const ChunkBody &body) const
+{
+    Matrix &out = plan.prepare(archs.size(), cols);
+    RankState *state = nullptr;
+    if (rank)
+        state = &rank_.get([this] {
+            auto frozen = std::make_unique<RankState>(trunks_.size());
+            for (std::size_t t = 0; t < trunks_.size(); ++t)
+                frozen->caches[t].init(trunks_[t]->dim());
+            frozen->heads.reserve(heads_.size());
+            for (const nn::Mlp *h : heads_)
+                frozen->heads.emplace_back(*h);
+            return frozen;
+        });
+    // The chunk lambda captures one reference, which std::function
+    // stores inline: no allocation per pass.
+    const struct
+    {
+        const TrunkHeads *model;
+        RankState *rank;
+        std::span<const nasbench::Architecture> archs;
+        Matrix *out;
+        const ChunkBody *body;
+    } pass{this, state, archs, &out, &body};
+    plan.forEachChunk(
+        family, [&pass](nn::PredictScratch &s, std::size_t i0,
+                        std::size_t i1) {
+            (*pass.body)(ChunkPass(pass.archs.subspan(i0, i1 - i0), i0,
+                                   s, *pass.model, pass.rank),
+                         *pass.out);
+        });
+    return out;
+}
+
+Surrogate::Surrogate(std::string family)
+    : family_(std::move(family)), rankLabel_(family_ + "_rank")
+{
+}
 
 std::size_t
 Surrogate::outputCols() const
@@ -54,9 +144,10 @@ Surrogate::predictBatch(std::span<const nasbench::Architecture> archs,
             "surrogate.predict_batch.rows");
         rows.add(archs.size());
     }
-    Matrix &out = plan.prepare(archs.size(), outputCols());
-    predictInto(archs, plan, out);
-    return out;
+    return model_.run(family_.c_str(), false, archs, plan, outputCols(),
+                      [this](const ChunkPass &pass, Matrix &out) {
+                          chunk(pass, out);
+                      });
 }
 
 const Matrix &
@@ -66,9 +157,11 @@ Surrogate::rankBatch(std::span<const nasbench::Architecture> archs,
     if (archs.empty())
         return plan.prepare(0, outputCols());
     HWPR_CHECK(trained(), "prediction before train()");
-    Matrix &out = plan.prepare(archs.size(), outputCols());
-    rankInto(archs, plan, out);
-    return out;
+    return model_.run(rankLabel_.c_str(), true, archs, plan,
+                      outputCols(),
+                      [this](const ChunkPass &pass, Matrix &out) {
+                          chunk(pass, out);
+                      });
 }
 
 Matrix

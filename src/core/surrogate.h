@@ -5,14 +5,21 @@
  * Every surrogate family in the repo — HW-PR-NAS, the scalable
  * variant, the dominance classifier, BRP-NAS, GATES and the LUT
  * latency estimator — implements `Surrogate`: fit once on oracle
- * records, then answer whole batches of architectures at a time. The
- * base class owns the inference contract (empty-batch no-op, trained
- * check, output shape, predict instrumentation) in predictBatch() /
- * rankBatch(); a family supplies only the per-chunk hooks behind them.
- * Each hook runs one matrix-level forward per chunk (no autodiff
- * recording) and fans the chunks out over the ExecContext thread
- * pool. Chunk boundaries depend only on the batch size, so results
- * are bit-identical at every thread count.
+ * records, then answer whole batches of architectures at a time.
+ *
+ * Each model is encoder trunks (`ArchEncoder`s) feeding MLP heads. A
+ * family declares both lists once, when the model is built or loaded,
+ * and writes one chunk body that encodes trunks and applies heads
+ * through a `ChunkPass`. The base class owns everything else: the
+ * inference contract (empty-batch no-op, trained check, output shape,
+ * predict instrumentation) and the chunk loop of both predictBatch()
+ * and rankBatch(). On the predict pass a chunk body's trunks and heads
+ * run the fp64 kernels; on the rank pass the base serves trunk rows
+ * from a frozen `EncodingCache` per trunk and runs heads as
+ * `QuantizedMlp`s, state it freezes lazily and every training call
+ * drops. Chunks fan out over the ExecContext thread pool; their
+ * boundaries depend only on the batch size, so results are
+ * bit-identical at every thread count.
  *
  * `SurrogateEvaluator` adapts a fitted surrogate to the search layer's
  * `search::Evaluator` so MOEA / random search can consume populations
@@ -33,8 +40,11 @@
 #include "common/matrix.h"
 #include "common/threadpool.h"
 #include "core/batch_plan.h"
+#include "core/encoding.h"
+#include "core/rank_cache.h"
 #include "hw/platform.h"
 #include "nasbench/dataset.h"
+#include "nn/layers.h"
 #include "search/evaluator.h"
 
 namespace hwpr::core
@@ -46,6 +56,104 @@ struct SurrogateDataset
     std::vector<const nasbench::ArchRecord *> train;
     std::vector<const nasbench::ArchRecord *> val;
     hw::PlatformId platform = hw::PlatformId::EdgeGpu;
+};
+
+/** Frozen rank state: one cache per trunk, one int8 head per head. */
+struct RankState;
+class TrunkHeads;
+
+/**
+ * One chunk of a predict or rank pass, as a chunk body sees it. The
+ * body encodes trunks and applies heads through encode() and head():
+ * on a predict pass they run the fp64 kernels (encodeBatchInto,
+ * Mlp::predictBatchInto), on a rank pass the frozen rank state
+ * (gatherEncodings over the trunk's EncodingCache,
+ * QuantizedMlp::predictBatchInto). A body that works through them
+ * cannot tell which pass is running.
+ */
+class ChunkPass
+{
+  public:
+    /** The chunk's architectures; archs[i] fills output row row0 + i. */
+    const std::span<const nasbench::Architecture> archs;
+    const std::size_t row0;
+    /** The chunk slot's scratch, reset for this chunk. */
+    nn::PredictScratch &scratch;
+
+    /** An (archs.size() x cols) scratch buffer; contents are stale. */
+    Matrix &
+    buffer(std::size_t cols) const
+    {
+        return scratch.acquire(archs.size(), cols);
+    }
+
+    /** Rows of declared trunk @p t for archs (scratch memory). */
+    const Matrix &encode(std::size_t t) const;
+
+    /** Declared head @p h over @p in, into @p out (rows x outDim). */
+    void head(std::size_t h, const Matrix &in, Matrix &out) const;
+
+    /** Whether this is a rank pass. Only the LUT's own memo asks. */
+    bool ranking() const { return rank_ != nullptr; }
+
+  private:
+    friend class TrunkHeads;
+    ChunkPass(std::span<const nasbench::Architecture> chunk,
+              std::size_t first_row, nn::PredictScratch &s,
+              const TrunkHeads &model, RankState *rank)
+        : archs(chunk), row0(first_row), scratch(s), model_(model),
+          rank_(rank)
+    {
+    }
+
+    const TrunkHeads &model_;
+    RankState *rank_;
+};
+
+/** A chunk body: fill rows pass.row0.. of the pass output. */
+using ChunkBody = std::function<void(const ChunkPass &, Matrix &)>;
+
+/**
+ * The encoder trunks and MLP heads of a model, declared once when it
+ * is built or loaded, and the passes over them. A rank pass freezes
+ * the rank state lazily in one RankFreeze: an EncodingCache per trunk
+ * and an int8 QuantizedMlp per declared head. Heads a body runs
+ * directly (the dominance head) are not declared and stay fp64.
+ */
+class TrunkHeads
+{
+  public:
+    TrunkHeads();
+    /** Out of line: RankState is incomplete here. */
+    ~TrunkHeads();
+
+    /**
+     * Declare the trunks and heads; chunk bodies address them by
+     * index. The pointees must outlive every pass. Does not drop the
+     * rank state: training calls invalidate() when they are done.
+     */
+    void declare(std::vector<const ArchEncoder *> trunks,
+                 std::vector<const nn::Mlp *> heads);
+
+    /** Drop the frozen rank state (every training call). */
+    void invalidate();
+
+    /**
+     * Prepare @p plan's (archs.size() x cols) output and run @p body
+     * on every chunk under the forEachChunk family @p family. With
+     * @p rank the chunks see the rank state, frozen first if none is
+     * published. Returns the output.
+     */
+    const Matrix &run(const char *family, bool rank,
+                      std::span<const nasbench::Architecture> archs,
+                      BatchPlan &plan, std::size_t cols,
+                      const ChunkBody &body) const;
+
+  private:
+    friend class ChunkPass;
+    std::vector<const ArchEncoder *> trunks_;
+    std::vector<const nn::Mlp *> heads_;
+    RankFreeze<RankState> rank_;
 };
 
 /**
@@ -116,11 +224,11 @@ class Surrogate
 
     /**
      * Short stable identifier used in metrics keys, e.g.
-     * "predict.tau_int8.<familyLabel>". Matches the forEachChunk
-     * family strings ("hwprnas", "scalable", "brpnas", "gates",
-     * "lut", "dominance").
+     * "predict.tau_int8.<familyLabel>". It is the predict pass's
+     * forEachChunk family ("hwprnas", "scalable", "brpnas", "gates",
+     * "lut", "dominance"); the rank pass runs as "<label>_rank".
      */
-    virtual std::string familyLabel() const { return "surrogate"; }
+    const std::string &familyLabel() const { return family_; }
 
     /**
      * Whether this family predicts *pairwise dominance* directly, so
@@ -155,20 +263,45 @@ class Surrogate
     }
 
   protected:
-    /**
-     * Per-family predict hook: fill @p out (archs.size() x
-     * outputCols(), prepared on @p plan) for a non-empty batch of a
-     * trained model.
-     */
-    virtual void predictInto(std::span<const nasbench::Architecture> archs,
-                             BatchPlan &plan, Matrix &out) const = 0;
+    /** @p family: familyLabel() and the chunk family of its passes. */
+    explicit Surrogate(std::string family);
 
-    /** Rank hook, same contract; defaults to predictInto(). */
-    virtual void rankInto(std::span<const nasbench::Architecture> archs,
-                          BatchPlan &plan, Matrix &out) const
+    /** Declare the model's trunks and heads (build and load time). */
+    void
+    declareModel(std::vector<const ArchEncoder *> trunks,
+                 std::vector<const nn::Mlp *> heads)
     {
-        predictInto(archs, plan, out);
+        model_.declare(std::move(trunks), std::move(heads));
     }
+
+    /** Drop the frozen rank state; every training call ends so. */
+    void invalidateRank() { model_.invalidate(); }
+
+    /**
+     * The family's chunk body of predictBatch() and rankBatch(): fill
+     * rows pass.row0.. of @p out (n x outputCols()) for a non-empty
+     * batch of a trained model.
+     */
+    virtual void chunk(const ChunkPass &pass, Matrix &out) const = 0;
+
+    /**
+     * An uninstrumented fp64 pass of another body over the declared
+     * model, under the predict family: (archs.size() x cols) on
+     * @p plan.
+     */
+    const Matrix &
+    predictPass(std::span<const nasbench::Architecture> archs,
+                BatchPlan &plan, std::size_t cols,
+                const ChunkBody &body) const
+    {
+        return model_.run(family_.c_str(), false, archs, plan, cols,
+                          body);
+    }
+
+  private:
+    std::string family_;
+    std::string rankLabel_;
+    TrunkHeads model_;
 };
 
 /**

@@ -38,25 +38,6 @@ TargetScaler::denormAll(const std::vector<double> &y) const
     return out;
 }
 
-namespace
-{
-
-bool train_fast_path = true;
-
-} // namespace
-
-bool
-trainFastPath()
-{
-    return train_fast_path;
-}
-
-void
-setTrainFastPath(bool enabled)
-{
-    train_fast_path = enabled;
-}
-
 std::vector<std::vector<std::size_t>>
 makeBatches(std::size_t n, std::size_t batch_size, Rng &rng)
 {

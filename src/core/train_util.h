@@ -36,15 +36,6 @@ struct TargetScaler
 std::vector<std::vector<std::size_t>>
 makeBatches(std::size_t n, std::size_t batch_size, Rng &rng);
 
-/**
- * Whether the fit-time fast path (the encoding cache) is enabled. On
- * by default; it is bit-identical to the plain path, and the
- * reproducibility tests toggle it off to assert exactly that.
- */
-bool trainFastPath();
-/** Enable/disable the fit-time fast path (process-wide). */
-void setTrainFastPath(bool enabled);
-
 /** Copy current parameter values (for best-epoch restore). */
 std::vector<Matrix> snapshotParams(const std::vector<nn::Tensor> &params);
 

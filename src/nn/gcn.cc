@@ -96,78 +96,6 @@ GcnEncoder::forward(const std::vector<const GraphInput *> &graphs) const
     return matmul(Tensor::constant(std::move(pool), "gcn_pool"), h);
 }
 
-Matrix
-GcnEncoder::encodeBatch(const std::vector<GraphInput> &graphs) const
-{
-    HWPR_CHECK(!graphs.empty(), "empty GCN batch");
-
-    std::vector<std::size_t> offsets, global_rows;
-    std::size_t total = 0;
-    for (const auto &g : graphs) {
-        HWPR_ASSERT(g.features.cols() == cfg_.featDim,
-                    "feature dim mismatch");
-        HWPR_ASSERT(g.adjacency.rows() == g.features.rows(),
-                    "adjacency/features node count mismatch");
-        offsets.push_back(total);
-        global_rows.push_back(g.globalNode);
-        total += g.features.rows();
-    }
-    Matrix h(total, cfg_.featDim);
-    for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
-        const Matrix &f = graphs[gi].features;
-        for (std::size_t i = 0; i < f.rows(); ++i)
-            for (std::size_t j = 0; j < f.cols(); ++j)
-                h(offsets[gi] + i, j) = f(i, j);
-    }
-
-    for (const auto &layer : layers_) {
-        Matrix lin = layer.predictBatch(h);
-        // Block-diagonal adjacency product, same accumulation order
-        // as the blockAdjacencyMatmul tensor op.
-        Matrix out(lin.rows(), lin.cols());
-        const std::size_t f = lin.cols();
-        for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
-            const Matrix &a = graphs[gi].adjacency;
-            const std::size_t v = a.rows();
-            const std::size_t base = offsets[gi];
-            for (std::size_t i = 0; i < v; ++i) {
-                for (std::size_t k = 0; k < v; ++k) {
-                    const double w = a(i, k);
-                    if (w == 0.0)
-                        continue;
-                    const double *src = &lin.data()[(base + k) * f];
-                    double *dst = &out.data()[(base + i) * f];
-                    for (std::size_t j = 0; j < f; ++j)
-                        dst[j] += w * src[j];
-                }
-            }
-        }
-        applyActivationInPlace(out, Activation::ReLU);
-        h = std::move(out);
-    }
-
-    if (cfg_.useGlobalNode) {
-        Matrix out(graphs.size(), h.cols());
-        for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
-            const std::size_t row = offsets[gi] + global_rows[gi];
-            HWPR_ASSERT(row < h.rows(), "block row OOB");
-            for (std::size_t j = 0; j < h.cols(); ++j)
-                out(gi, j) = h(row, j);
-        }
-        return out;
-    }
-
-    // Mean-pool readout via the same pooling-matrix product as the
-    // tensor path so the floating-point result is identical.
-    Matrix pool(graphs.size(), total);
-    for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
-        const std::size_t v = graphs[gi].adjacency.rows();
-        for (std::size_t i = 0; i < v; ++i)
-            pool(gi, offsets[gi] + i) = 1.0 / double(v);
-    }
-    return pool.matmul(h);
-}
-
 const Matrix &
 GcnEncoder::encodeBatchInto(const std::vector<GraphInput> &graphs,
                             PredictScratch &scratch) const
@@ -176,8 +104,8 @@ GcnEncoder::encodeBatchInto(const std::vector<GraphInput> &graphs,
 
     // Batched sparse gather: flatten the block-diagonal adjacency
     // into one edge list, built once and replayed by every layer in
-    // the same (graph, dst, src) ascending order encodeBatch's
-    // per-graph triple loop accumulates in.
+    // the (graph, dst, src) ascending order the blockAdjacencyMatmul
+    // tensor op accumulates in.
     std::vector<PredictScratch::Edge> &edges = scratch.edges();
     edges.clear();
     std::vector<std::size_t> offsets, global_rows;

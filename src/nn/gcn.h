@@ -69,18 +69,13 @@ class GcnEncoder : public Module
 
     /**
      * Inference-only encoding on raw matrices: no autodiff graph is
-     * recorded. Matches forward() bit-for-bit.
-     */
-    Matrix encodeBatch(const std::vector<GraphInput> &graphs) const;
-
-    /**
-     * Fused-plan encoding: all intermediates come from @p scratch and
-     * message passing runs over a flat edge list built once per call
-     * — the batch's block-diagonal adjacency is scanned a single time
+     * recorded, all intermediates come from @p scratch, and message
+     * passing runs over a flat edge list built once per call — the
+     * batch's block-diagonal adjacency is scanned a single time
      * instead of once per layer, and the (graph, dst, src) edge order
-     * preserves encodeBatch()'s accumulation order exactly. The
-     * returned reference points at scratch memory valid until the
-     * next scratch reset. Bit-identical to encodeBatch().
+     * preserves forward()'s accumulation order exactly. The returned
+     * reference points at scratch memory valid until the next scratch
+     * reset. Matches forward() bit-for-bit.
      */
     const Matrix &encodeBatchInto(const std::vector<GraphInput> &graphs,
                                   PredictScratch &scratch) const;

@@ -55,12 +55,6 @@ Linear::forward(const Tensor &x) const
     return addRowBroadcast(matmul(x, w_), b_);
 }
 
-Matrix
-Linear::predictBatch(const Matrix &x) const
-{
-    return x.matmul(w_.value()).addRowBroadcast(b_.value());
-}
-
 void
 Linear::predictBatchInto(const Matrix &x, Matrix &out) const
 {
@@ -144,17 +138,6 @@ Mlp::forward(const Tensor &x) const
     // Inference path: dropout disabled, rng never touched.
     Rng dummy(0);
     return forward(x, false, dummy);
-}
-
-Matrix
-Mlp::predictBatch(const Matrix &x) const
-{
-    Matrix h = layers_.front().predictBatch(x);
-    for (std::size_t i = 1; i < layers_.size(); ++i) {
-        applyActivationInPlace(h, cfg_.activation);
-        h = layers_[i].predictBatch(h);
-    }
-    return h;
 }
 
 void

@@ -75,17 +75,11 @@ class Linear : public Module
     Tensor forward(const Tensor &x) const;
 
     /**
-     * Inference-only forward on raw matrices: no autodiff graph is
-     * recorded. Matches forward() bit-for-bit.
-     */
-    Matrix predictBatch(const Matrix &x) const;
-
-    /**
-     * Same, into a caller-provided (x.rows x outDim) buffer: the
-     * fused-plan path, zero allocation. Bit-identical to
-     * predictBatch() — the GEMM lands in @p out via matmulInto and
-     * the bias row is added in place, which rounds exactly like the
-     * copy-then-add of addRowBroadcast.
+     * Inference-only forward into a caller-provided (x.rows x outDim)
+     * buffer: no autodiff graph is recorded and nothing is allocated.
+     * Bit-identical to forward() — the GEMM lands in @p out via
+     * matmulInto and the bias row is added in place, which rounds
+     * exactly like the copy-then-add of addRowBroadcast.
      */
     void predictBatchInto(const Matrix &x, Matrix &out) const;
 
@@ -147,17 +141,12 @@ class Mlp : public Module
     Tensor forward(const Tensor &x) const;
 
     /**
-     * Batched inference on raw matrices: one matrix-level pass per
-     * batch with no autodiff recording and no dropout. Matches the
-     * tensor forward (training=false) bit-for-bit.
-     */
-    Matrix predictBatch(const Matrix &x) const;
-
-    /**
-     * Fused-plan inference: hidden activations live in @p scratch and
-     * the final layer writes the caller-provided (x.rows x outDim)
-     * buffer, so a plan-driven pass allocates nothing after warm-up.
-     * Bit-identical to predictBatch().
+     * Batched inference on raw matrices, one matrix-level pass per
+     * batch with no autodiff recording and no dropout: hidden
+     * activations live in @p scratch and the final layer writes the
+     * caller-provided (x.rows x outDim) buffer, so a plan-driven pass
+     * allocates nothing after warm-up. Matches the tensor forward
+     * (training=false) bit-for-bit.
      */
     void predictBatchInto(const Matrix &x, PredictScratch &scratch,
                           Matrix &out) const;

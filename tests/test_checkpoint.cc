@@ -11,8 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <sstream>
 #include <string>
 
 #include "baselines/brpnas.h"
@@ -22,6 +25,7 @@
 #include "common/rng.h"
 #include "common/serialize.h"
 #include "common/threadpool.h"
+#include "core/dominance.h"
 #include "core/hwprnas.h"
 #include "core/predictor.h"
 #include "core/scalable.h"
@@ -558,6 +562,145 @@ TEST(SurrogateCheckpoint, OversizedShapesRejectedBeforeAllocation)
             writeUnitScaler(w);
             w.writeU64(0); // anchors
         });
+    }
+    std::remove(path.c_str());
+}
+
+namespace
+{
+
+/**
+ * Re-save the checkpoint at @p path with its first AF feature scaler
+ * replaced by (@p mean, @p std). @p skip reads the fields between the
+ * header and that scaler; every field after the header is one or more
+ * 8-byte words, so the rest is copied word by word.
+ */
+bool
+replaceScaler(const std::string &path, const char *kind,
+              std::uint32_t version,
+              const std::function<void(BinaryReader &)> &skip,
+              const std::vector<double> &mean,
+              const std::vector<double> &std)
+{
+    std::string body;
+    if (!readVerified(path, body))
+        return false;
+    std::istringstream in(body, std::ios::binary);
+    BinaryReader r(in);
+    if (readHeader(r, kind) != version)
+        return false;
+    const std::size_t start = std::size_t(in.tellg());
+    skip(r);
+    const std::size_t at = std::size_t(in.tellg());
+    core::readFeatureScaler(r);
+    const std::size_t end = std::size_t(in.tellg());
+    if (!r.ok())
+        return false;
+    auto copyWords = [&body](BinaryWriter &w, std::size_t from,
+                             std::size_t to) {
+        for (std::size_t pos = from; pos + 8 <= to; pos += 8) {
+            std::uint64_t v;
+            std::memcpy(&v, body.data() + pos, 8);
+            w.writeU64(v);
+        }
+    };
+    return atomicSave(path, [&](BinaryWriter &w) {
+        writeHeader(w, kind, version);
+        copyWords(w, start, at);
+        w.writeDoubles(mean);
+        w.writeDoubles(std);
+        copyWords(w, end, body.size());
+    });
+}
+
+} // namespace
+
+TEST(SurrogateCheckpoint, WrongLengthFeatureScalerRejected)
+{
+    // An AF scaler holds one mean and one std per architecture
+    // feature. A file with 11 means used to load and then stop the
+    // process on its first predict ("scaler dimension mismatch"); one
+    // with 12 means and a single std read past the std vector. The
+    // loaders now reject both. The same file with 12 of each is the
+    // control.
+    const std::size_t n = nasbench::kNumArchFeatures;
+    const std::vector<double> zeros(n, 0.0), ones(n, 1.0);
+    const auto data = tinySurrogateData();
+    ExecContext ctx = ExecContext::global().withSeed(13);
+    core::TrainConfig tc;
+    tc.epochs = 1;
+    tc.combinerEpochs = 0;
+
+    struct Kind
+    {
+        const char *kind;
+        std::uint32_t version;
+        std::unique_ptr<core::Surrogate> model;
+        std::function<void(BinaryReader &)> skip;
+    };
+    core::HwPrNasConfig mc;
+    mc.encoder = tinyEncoder();
+    auto hwpr = std::make_unique<core::HwPrNas>(
+        mc, nasbench::DatasetId::Cifar10, 1);
+    hwpr->setFitConfig(tc);
+    core::ScalableConfig sc;
+    sc.encoder = tinyEncoder();
+    auto scalable = std::make_unique<core::ScalableHwPrNas>(
+        sc, nasbench::DatasetId::Cifar10, 2);
+    scalable->setFitConfig(tc);
+    core::DominanceConfig dc;
+    dc.encoder = tinyEncoder();
+    dc.referenceSize = 8;
+    dc.maxPairsPerEpoch = 500;
+    auto dominance = std::make_unique<core::DominanceSurrogate>(
+        dc, nasbench::DatasetId::Cifar10, 3);
+    dominance->setFitConfig(tc);
+
+    core::EncoderConfig enc;
+    std::vector<std::size_t> widths;
+    Kind kinds[] = {
+        {"hwprnas", 2, std::move(hwpr),
+         [&](BinaryReader &r) {
+             core::readEncoderConfig(r, enc, false);
+             core::readWidths(r, widths); // headHidden
+             core::readWidths(r, widths); // combinerHidden
+             // AF flag, rmseWeight, shared head, dataset, platform,
+             // then the accuracy and per-platform target scalers.
+             for (std::size_t i = 0; i < 5 + 2 * (1 + hw::kNumPlatforms);
+                  ++i)
+                 r.readU64();
+         }},
+        {"hwpr-scalable", 1, std::move(scalable),
+         [&](BinaryReader &r) {
+             core::readEncoderConfig(r, enc);
+             core::readWidths(r, widths);
+             for (int i = 0; i < 3; ++i) // dataset, platform, energy
+                 r.readU64();
+         }},
+        {"dominance", 1, std::move(dominance),
+         [&](BinaryReader &r) {
+             core::readEncoderConfig(r, enc);
+             core::readWidths(r, widths);
+             for (int i = 0; i < 3; ++i) // referenceSize, dataset, platform
+                 r.readU64();
+         }},
+    };
+    const std::string path = tempPath("hwpr_ckpt_scaler.bin");
+    for (Kind &k : kinds) {
+        SCOPED_TRACE(k.kind);
+        k.model->fit(data, ctx);
+        ASSERT_TRUE(k.model->save(path));
+        ASSERT_TRUE(
+            replaceScaler(path, k.kind, k.version, k.skip, zeros, ones));
+        EXPECT_NE(core::loadSurrogate(path), nullptr);
+        ASSERT_TRUE(replaceScaler(
+            path, k.kind, k.version, k.skip,
+            std::vector<double>(n - 1, 0.0),
+            std::vector<double>(n - 1, 1.0)));
+        EXPECT_EQ(core::loadSurrogate(path), nullptr);
+        ASSERT_TRUE(replaceScaler(path, k.kind, k.version, k.skip,
+                                  zeros, {1.0}));
+        EXPECT_EQ(core::loadSurrogate(path), nullptr);
     }
     std::remove(path.c_str());
 }

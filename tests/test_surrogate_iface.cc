@@ -12,6 +12,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 
@@ -149,7 +151,9 @@ TEST(BatchParity, MlpBatchedMatchesTensorAndSingleRows)
     for (auto &v : x.raw())
         v = data_rng.uniform(-2, 2);
 
-    const Matrix batched = mlp.predictBatch(x);
+    nn::PredictScratch scratch;
+    Matrix batched(x.rows(), cfg.outDim);
+    mlp.predictBatchInto(x, scratch, batched);
     const Matrix tensor = mlp.forward(nn::Tensor::constant(x)).value();
     EXPECT_LE(maxAbsDiff(batched, tensor), 0.0); // bit-for-bit
 
@@ -157,7 +161,9 @@ TEST(BatchParity, MlpBatchedMatchesTensorAndSingleRows)
         Matrix row(1, x.cols());
         for (std::size_t c = 0; c < x.cols(); ++c)
             row(0, c) = x(r, c);
-        const Matrix single = mlp.predictBatch(row);
+        scratch.reset();
+        Matrix single(1, cfg.outDim);
+        mlp.predictBatchInto(row, scratch, single);
         for (std::size_t c = 0; c < batched.cols(); ++c)
             EXPECT_NEAR(single(0, c), batched(r, c), 1e-9);
     }
@@ -231,12 +237,14 @@ TEST(BatchParity, GcnEncodeBatchMatchesTensorAndSingles)
     for (int i = 0; i < 13; ++i)
         graphs.push_back(randomGraph(data_rng, cfg.featDim));
 
-    const Matrix batched = gcn.encodeBatch(graphs);
+    nn::PredictScratch scratch;
+    const Matrix batched = gcn.encodeBatchInto(graphs, scratch);
     const Matrix tensor = gcn.forward(graphs).value();
     EXPECT_LE(maxAbsDiff(batched, tensor), 0.0);
 
     for (std::size_t r = 0; r < graphs.size(); ++r) {
-        const Matrix single = gcn.encodeBatch({graphs[r]});
+        scratch.reset();
+        const Matrix single = gcn.encodeBatchInto({graphs[r]}, scratch);
         for (std::size_t c = 0; c < batched.cols(); ++c)
             EXPECT_NEAR(single(0, c), batched(r, c), 1e-9);
     }
@@ -256,7 +264,8 @@ TEST(BatchParity, GcnMeanPoolEncodeBatchMatchesTensor)
     std::vector<nn::GraphInput> graphs;
     for (int i = 0; i < 5; ++i)
         graphs.push_back(randomGraph(data_rng, cfg.featDim));
-    EXPECT_LE(maxAbsDiff(gcn.encodeBatch(graphs),
+    nn::PredictScratch scratch;
+    EXPECT_LE(maxAbsDiff(gcn.encodeBatchInto(graphs, scratch),
                          gcn.forward(graphs).value()),
               0.0);
 }
@@ -704,6 +713,116 @@ TEST(SurrogateIface, ConcurrentRankFreezeMatchesSerial)
         for (const Matrix &r : results)
             EXPECT_EQ(r.raw(), serial.raw());
     }
+}
+
+TEST(SurrogateIface, RetrainingDropsFrozenRankState)
+{
+    // rankBatch() freezes int8 heads and encoding caches over the
+    // weights it finds, and every training call must drop them. Each
+    // model is fitted, ranked (which freezes), trained again and
+    // ranked again: the result must equal, bit for bit, a twin trained
+    // the same way that never ranked in between.
+    core::TrainConfig quick = quickFit();
+    quick.epochs = 2;
+    quick.combinerEpochs = 1;
+    core::PredictorTrainConfig pquick;
+    pquick.epochs = 2;
+    const auto data = tinySurrogateData();
+    const auto archs = testArchs();
+    ExecContext seed_a = ExecContext::global().withSeed(71);
+    ExecContext seed_b = ExecContext::global().withSeed(72);
+
+    using Factory = std::function<std::unique_ptr<core::Surrogate>()>;
+    using Training = std::function<void(core::Surrogate &)>;
+    auto fitWith = [&](ExecContext &ctx) -> Training {
+        return [&](core::Surrogate &m) { m.fit(data, ctx); };
+    };
+    auto expectRefitDropsState = [&](const char *what,
+                                     const Factory &make,
+                                     const Training &first,
+                                     const Training &again) {
+        SCOPED_TRACE(what);
+        const auto model = make();
+        first(*model);
+        core::BatchPlan plan;
+        model->rankBatch(archs, plan);
+        again(*model);
+        const auto twin = make();
+        first(*twin);
+        again(*twin);
+        core::BatchPlan twin_plan;
+        EXPECT_EQ(model->rankBatch(archs, plan).raw(),
+                  twin->rankBatch(archs, twin_plan).raw());
+    };
+
+    core::HwPrNasConfig mc;
+    mc.encoder = tinyEncoder();
+    const Factory hwpr = [&] {
+        auto m = std::make_unique<core::HwPrNas>(
+            mc, nasbench::DatasetId::Cifar10, 73);
+        m->setFitConfig(quick);
+        return m;
+    };
+    expectRefitDropsState("HW-PR-NAS train", hwpr, fitWith(seed_a),
+                          fitWith(seed_b));
+    expectRefitDropsState(
+        "HW-PR-NAS trainMultiPlatform", hwpr, fitWith(seed_a),
+        [&](core::Surrogate &m) {
+            static_cast<core::HwPrNas &>(m).trainMultiPlatform(
+                data.train, data.val,
+                {hw::PlatformId::EdgeGpu, hw::PlatformId::Pixel3},
+                quick);
+        });
+
+    core::ScalableConfig sc;
+    sc.encoder = tinyEncoder();
+    const Factory scalable = [&] {
+        auto m = std::make_unique<core::ScalableHwPrNas>(
+            sc, nasbench::DatasetId::Cifar10, 74);
+        m->setFitConfig(quick);
+        return m;
+    };
+    expectRefitDropsState("scalable train", scalable, fitWith(seed_a),
+                          fitWith(seed_b));
+    expectRefitDropsState(
+        "scalable addEnergyObjective", scalable, fitWith(seed_a),
+        [&](core::Surrogate &m) {
+            static_cast<core::ScalableHwPrNas &>(m).addEnergyObjective(
+                data.train, 2);
+        });
+
+    const Training brp_a = [&](core::Surrogate &m) {
+        static_cast<baselines::TwoSurrogateBaseline &>(m).train(
+            data.train, data.val, data.platform, pquick);
+    };
+    expectRefitDropsState(
+        "BRP-NAS",
+        [] {
+            return std::make_unique<baselines::BrpNas>(
+                tinyEncoder(), nasbench::DatasetId::Cifar10, 75);
+        },
+        brp_a, fitWith(seed_b));
+    expectRefitDropsState(
+        "GATES",
+        [] {
+            return std::make_unique<baselines::Gates>(
+                tinyEncoder(), nasbench::DatasetId::Cifar10, 76);
+        },
+        brp_a, fitWith(seed_b));
+
+    core::DominanceConfig dc;
+    dc.encoder = tinyEncoder();
+    dc.referenceSize = 16;
+    dc.maxPairsPerEpoch = 2000;
+    expectRefitDropsState(
+        "dominance",
+        [&] {
+            auto m = std::make_unique<core::DominanceSurrogate>(
+                dc, nasbench::DatasetId::Cifar10, 77);
+            m->setFitConfig(quick);
+            return m;
+        },
+        fitWith(seed_a), fitWith(seed_b));
 }
 
 TEST(SurrogateIface, DefaultSaveIsUnsupported)
