@@ -20,10 +20,27 @@ fail(std::size_t pos, const std::string &what)
                              std::to_string(pos));
 }
 
+/**
+ * Deepest array/object nesting parse() accepts. The parser recurses
+ * once per level, so an uncapped document of a few ten thousand '['
+ * overflows the stack; wire requests nest three levels and the
+ * repo's own files at most six.
+ */
+constexpr std::size_t kMaxDepth = 64;
+
 struct Parser
 {
     const std::string &text;
     std::size_t pos = 0;
+
+    /** Throw when the bracket at pos opens level @p depth > kMaxDepth. */
+    void
+    checkDepth(std::size_t depth)
+    {
+        if (depth > kMaxDepth)
+            fail(pos, "nesting deeper than " +
+                          std::to_string(kMaxDepth) + " levels");
+    }
 
     void
     skipWs()
@@ -62,16 +79,17 @@ struct Parser
         return true;
     }
 
+    /** One value at nesting @p depth (0 at the top level). */
     Value
-    parseValue()
+    parseValue(std::size_t depth)
     {
         skipWs();
         const char c = peek();
         switch (c) {
         case '{':
-            return parseObject();
+            return parseObject(depth + 1);
         case '[':
-            return parseArray();
+            return parseArray(depth + 1);
         case '"':
             return Value::makeString(parseString());
         case 't':
@@ -92,8 +110,9 @@ struct Parser
     }
 
     Value
-    parseObject()
+    parseObject(std::size_t depth)
     {
+        checkDepth(depth);
         expect('{');
         Members members;
         skipWs();
@@ -106,7 +125,7 @@ struct Parser
             std::string key = parseString();
             skipWs();
             expect(':');
-            members.emplace_back(std::move(key), parseValue());
+            members.emplace_back(std::move(key), parseValue(depth));
             skipWs();
             const char c = peek();
             if (c == ',') {
@@ -122,8 +141,9 @@ struct Parser
     }
 
     Value
-    parseArray()
+    parseArray(std::size_t depth)
     {
+        checkDepth(depth);
         expect('[');
         std::vector<Value> items;
         skipWs();
@@ -132,7 +152,7 @@ struct Parser
             return Value::makeArray(std::move(items));
         }
         while (true) {
-            items.push_back(parseValue());
+            items.push_back(parseValue(depth));
             skipWs();
             const char c = peek();
             if (c == ',') {
@@ -371,7 +391,7 @@ Value
 parse(const std::string &text)
 {
     Parser p{text};
-    Value v = p.parseValue();
+    Value v = p.parseValue(0);
     p.skipWs();
     if (p.pos != text.size())
         fail(p.pos, "trailing garbage");

@@ -8,10 +8,15 @@
  * build takes no third-party dependencies, so this is a small
  * hand-rolled recursive-descent parser: full JSON value model
  * (null/bool/number/string/array/object), doubles for all numbers,
- * insertion-ordered object keys. It is a *reader* for trusted,
- * repo-generated files: parse errors throw std::runtime_error with a
- * byte offset, there is no streaming, and no attempt at the
- * adversarial-input hardening a network-facing parser would need.
+ * insertion-ordered object keys. There is no streaming.
+ *
+ * It is not only a reader for the repo's own files: hwpr-serve parses
+ * every wire frame and job file with it. Any input either parses or
+ * throws std::runtime_error with a byte offset, and arrays and
+ * objects nest at most 64 levels (the bracket that opens level 65 is
+ * rejected), so recursion depth stays bounded. The parsed tree still
+ * costs about a hundred bytes per value, so callers bound the input
+ * length (hwpr-serve: 16 MiB per frame).
  */
 
 #ifndef HWPR_COMMON_JSON_H
@@ -93,7 +98,7 @@ class Value
 /**
  * Parse @p text as one JSON document (trailing whitespace allowed,
  * trailing garbage rejected). Throws std::runtime_error with a byte
- * offset on malformed input.
+ * offset on malformed input and on nesting deeper than 64 levels.
  */
 Value parse(const std::string &text);
 

@@ -78,6 +78,24 @@ class Matrix
     /** Set every element to @p v. */
     void fill(double v) { std::fill(data_.begin(), data_.end(), v); }
 
+    /**
+     * Make this a (rows x cols) matrix in its current storage.
+     * Capacity never shrinks; it grows, to exactly rows * cols, only
+     * when it is short. Contents are unspecified afterwards.
+     */
+    void
+    reshape(std::size_t rows, std::size_t cols)
+    {
+        const std::size_t n = rows * cols;
+        if (n > data_.capacity()) {
+            data_.clear(); // nothing to copy into the new block
+            data_.reserve(n);
+        }
+        data_.resize(n);
+        rows_ = rows;
+        cols_ = cols;
+    }
+
     /** Elementwise in-place addition. */
     Matrix &operator+=(const Matrix &o);
     /** Elementwise in-place subtraction. */

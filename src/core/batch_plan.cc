@@ -30,8 +30,7 @@ BatchPlan::prepare(std::size_t n, std::size_t out_cols)
     const std::size_t chunks = n == 0 ? 0 : (n + grain_ - 1) / grain_;
     if (scratch_.size() < chunks)
         scratch_.resize(chunks);
-    if (out_.rows() != n || out_.cols() != out_cols)
-        out_ = Matrix(n, out_cols);
+    out_.reshape(n, out_cols);
     return out_;
 }
 
@@ -60,8 +59,8 @@ BatchPlan::forEachChunk(
             obs::Registry::global()
                 .gauge(std::string("predict.ops_per_s.") + family)
                 .set(double(n_) * 1e6 / us);
-        // Plan memory accounting: chunk-slot scratch residency plus
-        // the output matrix. Gauges, not counters — this is the
+        // Plan memory accounting: chunk-slot scratch capacity plus
+        // the output matrix's. Gauges, not counters — this is the
         // steady-state footprint of the most recent pass.
         std::uint64_t scratch_bytes = 0, reused = 0, allocated = 0;
         for (const nn::PredictScratch &s : scratch_) {
@@ -79,7 +78,7 @@ BatchPlan::forEachChunk(
             obs::Registry::global().gauge("predict.plan.bytes_reused");
         chunks_g.set(double((n_ + grain_ - 1) / grain_));
         bytes_g.set(double(scratch_bytes +
-                           std::uint64_t(out_.rows()) * out_.cols() *
+                           std::uint64_t(out_.raw().capacity()) *
                                sizeof(double)));
         alloc_g.set(double(allocated));
         reuse_g.set(double(reused));

@@ -4,11 +4,15 @@
  * path").
  *
  * A BatchPlan is the per-caller state of the fused encode+predict
- * pass: the pre-sized output matrix plus one nn::PredictScratch per
- * parallel chunk slot. Callers that predict repeatedly — the search
- * loop evaluates populations every generation, a serving daemon
- * answers request after request — build one plan and reuse it, so
- * after the first pass the whole pipeline runs without allocating.
+ * pass: the output matrix plus one nn::PredictScratch per parallel
+ * chunk slot. Callers that predict repeatedly — the search loop
+ * evaluates populations every generation, a serving daemon answers
+ * request after request — build one plan and reuse it. Every buffer
+ * is reshaped in place and grows only past its largest earlier use,
+ * so the plan's memory is bounded by the largest pass it has run
+ * (per chunk slot: the largest buffer each acquisition position has
+ * asked for), and allocation stops once every position has seen its
+ * largest buffer, whatever the mix of batch sizes that follows.
  *
  * Determinism contract: the chunk layout (grain, boundaries, slot
  * numbering) is a pure function of the batch size, never of the
@@ -39,10 +43,10 @@ class BatchPlan
   public:
     /**
      * Size the plan for a batch of @p n rows and @p out_cols output
-     * columns and return the output matrix. The matrix is recycled
-     * across calls — reallocated only when the shape actually
-     * changes, so constant-size generations reuse one buffer.
-     * Contents are stale until a pass overwrites them.
+     * columns and return the output matrix. The matrix is reshaped
+     * in place (Matrix::reshape): its storage grows only when
+     * n * out_cols exceeds every earlier pass. Contents are stale
+     * until a pass overwrites them.
      *
      * n == 0 is valid and prepares an empty (0 x out_cols) output
      * with zero chunks; the subsequent forEachChunk is a no-op. The

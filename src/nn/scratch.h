@@ -2,12 +2,15 @@
  * @file
  * Recycled matrix scratch for the fused inference path.
  *
- * PredictScratch is a shape-keyed pool of Matrix buffers that the
- * batched encode+predict kernels acquire instead of allocating per
- * call. A reset() marks every buffer free without releasing its
- * memory, so a pass that repeats the same shape sequence — every
- * chunk of every generation of a search does — allocates exactly
- * once and then recycles.
+ * PredictScratch hands out Matrix buffers by acquisition order: the
+ * k-th acquire() since reset() gets buffer k, reshaped in place
+ * (Matrix::reshape), whatever shape it held before. A buffer's
+ * storage grows only when a pass asks it for more than any pass
+ * before, so each position settles at the largest buffer ever
+ * requested there. That is a constant of the model and the chunk
+ * grain, not of the traffic: once every position has seen its
+ * largest buffer, allocation stops for good, whatever batch sizes,
+ * cache-miss counts or GCN node totals come next.
  *
  * It is not thread-local: the caller owns one PredictScratch per
  * parallel chunk slot (see core::BatchPlan), so concurrent chunks
@@ -18,6 +21,7 @@
 #ifndef HWPR_NN_SCRATCH_H
 #define HWPR_NN_SCRATCH_H
 
+#include <algorithm>
 #include <cstdint>
 #include <cstddef>
 #include <deque>
@@ -28,44 +32,39 @@
 namespace hwpr::nn
 {
 
-/** Shape-keyed pool of reusable inference scratch matrices. */
+/** Acquisition-ordered pool of reusable inference scratch matrices. */
 class PredictScratch
 {
   public:
     /**
      * Check out a (rows x cols) buffer until the next reset(). With
      * @p zero the contents are zero-filled; otherwise they are
-     * whatever the previous user left (callers must overwrite fully).
-     * References stay valid until the PredictScratch is destroyed —
-     * slots are never deallocated, only recycled.
+     * whatever an earlier user of the storage left, of any shape
+     * (callers must overwrite fully). The reference stays valid
+     * until the PredictScratch is destroyed, but after the next
+     * reset() the buffer is reshaped for its next user.
      */
     Matrix &
     acquire(std::size_t rows, std::size_t cols, bool zero = false)
     {
+        if (next_ == bufs_.size())
+            bufs_.emplace_back();
+        Matrix &m = bufs_[next_++];
         const std::uint64_t bytes =
             std::uint64_t(rows) * cols * sizeof(double);
-        for (auto &slot : slots_) {
-            if (slot.busy || slot.m.rows() != rows ||
-                slot.m.cols() != cols)
-                continue;
-            slot.busy = true;
-            bytesReused_ += bytes;
-            if (zero)
-                slot.m.fill(0.0);
-            return slot.m;
-        }
-        slots_.push_back({Matrix(rows, cols), true});
-        bytesAllocated_ += bytes;
-        return slots_.back().m;
+        const std::size_t held = m.raw().capacity();
+        m.reshape(rows, cols);
+        const std::uint64_t grown =
+            std::uint64_t(m.raw().capacity() - held) * sizeof(double);
+        bytesAllocated_ += grown;
+        bytesReused_ += bytes - std::min(bytes, grown);
+        if (zero)
+            m.fill(0.0);
+        return m;
     }
 
-    /** Mark every buffer free; memory is kept for reuse. */
-    void
-    reset()
-    {
-        for (auto &slot : slots_)
-            slot.busy = false;
-    }
+    /** Hand buffers out from the first again; memory is kept. */
+    void reset() { next_ = 0; }
 
     /** One weighted edge of the flattened GCN message-passing graph. */
     struct Edge
@@ -105,42 +104,33 @@ class PredictScratch
         return qscales_;
     }
 
-    /** Buffers currently pooled (diagnostics). */
-    std::size_t numBuffers() const { return slots_.size(); }
-
     /// @name Byte accounting (see DESIGN.md "Performance
-    /// observatory"). Matrix slots only; the auxiliary edge/quant
+    /// observatory"). Matrix buffers only; the auxiliary edge/quant
     /// vectors are an order of magnitude smaller.
     /// @{
-    /** Bytes of fresh Matrix allocations over this scratch's life. */
+    /** Bytes of buffer capacity growth over this scratch's life. */
     std::uint64_t bytesAllocated() const { return bytesAllocated_; }
-    /** Bytes served from pooled slots instead of fresh allocation. */
+    /** Bytes acquired from capacity already held. */
     std::uint64_t bytesReused() const { return bytesReused_; }
-    /** Bytes resident in pooled Matrix slots right now. */
+    /** Capacity bytes held by the buffers right now. */
     std::uint64_t
     pooledBytes() const
     {
         std::uint64_t total = 0;
-        for (const auto &slot : slots_)
-            total += std::uint64_t(slot.m.rows()) * slot.m.cols() *
-                     sizeof(double);
+        for (const Matrix &m : bufs_)
+            total += std::uint64_t(m.raw().capacity()) * sizeof(double);
         return total;
     }
     /// @}
 
   private:
-    struct Slot
-    {
-        Matrix m;
-        bool busy = false;
-    };
-
     /**
-     * Linear scan: passes hold a handful of shapes, never hundreds.
-     * Deque, not vector — acquire() hands out references that must
-     * survive later growth.
+     * Buffer k serves the k-th acquire() since reset(). Deque, not
+     * vector: acquire() hands out references that must survive later
+     * growth.
      */
-    std::deque<Slot> slots_;
+    std::deque<Matrix> bufs_;
+    std::size_t next_ = 0;
     std::vector<Edge> edges_;
     std::vector<std::int16_t> qrows_;
     std::vector<double> qscales_;

@@ -326,6 +326,9 @@ Server::acceptPending()
         if (fd < 0)
             return;
         if (conns_.size() >= cfg_.maxConnections) {
+            static obs::Counter &rejected = obs::Registry::global()
+                .counter("serve.connections_rejected");
+            rejected.add();
             ::close(fd);
             continue;
         }

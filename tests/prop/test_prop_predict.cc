@@ -6,7 +6,10 @@
  * to querying the same architectures one at a time, invariant to the
  * global thread count (1/2/4/8 lanes), and stable under plan reuse
  * (a warm plan recycled across differently sized batches changes
- * nothing).
+ * nothing). The plan-reuse property also covers the dominance
+ * family and alternates predict and rank passes on one plan, because
+ * plan scratch is recycled by acquisition order across shapes and
+ * pass types.
  *
  * Bitwise identity holds because chunk boundaries depend only on the
  * batch size, every output element owns one ascending-k accumulation
@@ -28,6 +31,7 @@
 #include "common/prop.h"
 #include "common/threadpool.h"
 #include "core/batch_plan.h"
+#include "core/dominance.h"
 #include "core/hwprnas.h"
 #include "core/scalable.h"
 #include "core/surrogate.h"
@@ -126,6 +130,36 @@ families()
         return out;
     }();
     return fams;
+}
+
+/**
+ * The dominance classifier, fitted once. Only the plan-reuse property
+ * runs it here; test_prop_dominance.cc pins its other paths.
+ */
+const core::Surrogate &
+dominanceModel()
+{
+    static const std::unique_ptr<core::DominanceSurrogate> model = [] {
+        core::DominanceConfig cfg;
+        cfg.encoder.gcnHidden = 16;
+        cfg.encoder.lstmHidden = 16;
+        cfg.encoder.embedDim = 8;
+        cfg.headHidden = {16, 8};
+        cfg.referenceSize = 24;
+        cfg.maxPairsPerEpoch = 3000;
+        cfg.maxValPairs = 500;
+        auto m = std::make_unique<core::DominanceSurrogate>(
+            cfg, nasbench::DatasetId::Cifar10, 15);
+        core::TrainConfig quick;
+        quick.epochs = 3;
+        quick.patience = 3;
+        quick.batchSize = 64;
+        const auto &data = propData();
+        m->train(data.select(data.trainIdx), data.select(data.valIdx),
+                 hw::PlatformId::EdgeGpu, quick);
+        return m;
+    }();
+    return *model;
 }
 
 /**
@@ -254,9 +288,14 @@ TEST(PropPredict, PredictionsInvariantToThreadCount)
 
 TEST(PropPredict, WarmPlanReuseIsStable)
 {
+    std::vector<std::pair<std::string, const core::Surrogate *>> all;
+    for (const Family &fam : families())
+        all.emplace_back(fam.name, fam.model.get());
+    all.emplace_back("dominance", &dominanceModel());
+
     const auto r = prop::forAll<std::vector<nasbench::Architecture>>(
         prop::Config::fromEnv(0xF05ED003, 15), batchGen(), showBatch,
-        [](const std::vector<nasbench::Architecture> &batch)
+        [&all](const std::vector<nasbench::Architecture> &batch)
             -> std::optional<std::string> {
             for (const Family &fam : families()) {
                 // Cold plan, then the same plan warmed by a pass over
@@ -275,6 +314,51 @@ TEST(PropPredict, WarmPlanReuseIsStable)
                 if (auto err = expectSameBits(fam.name, cold, warm,
                                               "cold vs warm plan"))
                     return err;
+            }
+
+            // One plan alternates rank and predict passes over the
+            // batch, a shorter prefix and a longer batch (the batch,
+            // then mutants the rank caches have not seen, so rank
+            // passes miss): every full-batch pass must equal a cold
+            // plan's, whatever buffers the earlier passes left.
+            const std::span<const nasbench::Architecture> full(batch);
+            const std::span<const nasbench::Architecture> prefix =
+                full.first((batch.size() + 1) / 2);
+            std::vector<nasbench::Architecture> longer = batch;
+            Rng mut(batch.size());
+            for (std::size_t k = 0; k < 2; ++k)
+                for (const nasbench::Architecture &a : batch)
+                    longer.push_back(
+                        nasbench::spaceFor(a.space).mutate(a, 0.3, mut));
+            const struct
+            {
+                bool rank;
+                std::span<const nasbench::Architecture> archs;
+            } steps[] = {{true, longer},  {false, full},
+                         {true, prefix},  {true, full},
+                         {false, longer}, {true, full},
+                         {false, prefix}, {false, full}};
+            for (const auto &[name, model] : all) {
+                core::BatchPlan cold_predict_plan, cold_rank_plan;
+                const Matrix &cold_predict =
+                    model->predictBatch(full, cold_predict_plan);
+                const Matrix &cold_rank =
+                    model->rankBatch(full, cold_rank_plan);
+                core::BatchPlan plan;
+                for (const auto &step : steps) {
+                    const Matrix &got =
+                        step.rank ? model->rankBatch(step.archs, plan)
+                                  : model->predictBatch(step.archs, plan);
+                    if (step.archs.size() != batch.size() ||
+                        step.archs.data() != batch.data())
+                        continue;
+                    if (auto err = expectSameBits(
+                            name, step.rank ? cold_rank : cold_predict,
+                            got,
+                            step.rank ? "cold vs mixed-plan rank"
+                                      : "cold vs mixed-plan predict"))
+                        return err;
+                }
             }
             return std::nullopt;
         });

@@ -69,6 +69,23 @@ TEST(JsonParser, ParsesTheFullValueModel)
     const auto &members = v.asObject();
     EXPECT_EQ(members[0].first, "a");
     EXPECT_EQ(members[4].first, "g");
+
+    // 64 levels, the deepest nesting the reader accepts: arrays and
+    // objects alternating, a number at the bottom.
+    std::string deep;
+    for (int level = 0; level < 64; ++level)
+        deep += level % 2 == 0 ? "[" : "{\"k\": ";
+    deep += "7";
+    for (int level = 63; level >= 0; --level)
+        deep += level % 2 == 0 ? "]" : "}";
+    const json::Value parsed = json::parse(deep);
+    const json::Value *leaf = &parsed;
+    for (int level = 0; level < 64; ++level) {
+        ASSERT_EQ(leaf->isArray(), level % 2 == 0) << "level " << level;
+        leaf = level % 2 == 0 ? &leaf->asArray().at(0) : leaf->find("k");
+        ASSERT_NE(leaf, nullptr);
+    }
+    EXPECT_DOUBLE_EQ(leaf->asNumber(), 7.0);
 }
 
 TEST(JsonParser, RejectsMalformedInput)
@@ -80,6 +97,22 @@ TEST(JsonParser, RejectsMalformedInput)
     EXPECT_THROW(json::parse("nulll"), std::runtime_error);
     EXPECT_THROW(json::parseFile("/nonexistent/nope.json"),
                  std::runtime_error);
+
+    // 65 levels is one past the nesting cap: a clear error at the
+    // offending bracket (byte 64), not a stack overflow.
+    const std::string deep =
+        std::string(64, '[') + "{\"k\": 1}" + std::string(64, ']');
+    try {
+        json::parse(deep);
+        FAIL() << "65-level document accepted";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("nesting deeper than 64"),
+                  std::string::npos)
+            << e.what();
+        EXPECT_NE(std::string(e.what()).find("at byte 64"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(JsonParser, RejectsOutOfRangeNumbersWithByteOffset)

@@ -24,6 +24,7 @@
 
 #include "baselines/lut.h"
 #include "common/json.h"
+#include "common/obs.h"
 #include "core/dominance.h"
 #include "nasbench/dataset.h"
 #include "nasbench/space.h"
@@ -413,6 +414,12 @@ TEST(ServeServer, MalformedRequestsGetErrorsNotDisconnects)
         "\"genome\": [1e400]}]}");
     EXPECT_NE(resp.find("error"), nullptr);
 
+    // 30,000 nested arrays in a 30 KB frame: the parser's depth cap
+    // answers with an error instead of overflowing the stack.
+    resp = client.roundTrip(std::string(30000, '['));
+    EXPECT_NE(resp.stringOr("error", "").find("nesting deeper than 64"),
+              std::string::npos);
+
     // The connection survived all of it.
     resp = client.roundTrip("{\"op\": \"ping\"}");
     EXPECT_EQ(resp.stringOr("op", ""), "ping");
@@ -421,6 +428,38 @@ TEST(ServeServer, MalformedRequestsGetErrorsNotDisconnects)
     resp = client.roundTrip("{\"op\": \"stats\"}");
     EXPECT_NE(resp.find("stats"), nullptr);
     EXPECT_NE(resp.find("jobs"), nullptr);
+}
+
+TEST(ServeServer, OverCapConnectionsAreClosedAndCounted)
+{
+    baselines::LatencyLut model(nasbench::DatasetId::Cifar10,
+                                hw::PlatformId::EdgeGpu);
+    obs::Counter &rejected =
+        obs::Registry::global().counter("serve.connections_rejected");
+    rejected.reset();
+    serve::ServerConfig cfg;
+    cfg.batchDeadlineUs = 0;
+    cfg.maxConnections = 1;
+    LiveServer live(model, cfg);
+    Client first(live.port());
+    ASSERT_TRUE(first.connected());
+    // The ping proves the server has accepted the first connection.
+    EXPECT_EQ(first.roundTrip("{\"op\": \"ping\"}").stringOr("op", ""),
+              "ping");
+
+    // The kernel completes the second handshake; the server then
+    // accepts and closes it, so the client reads end of stream.
+    Client second(live.port());
+    ASSERT_TRUE(second.connected());
+    EXPECT_EQ(second.recv(), "");
+
+    const json::Value resp = first.roundTrip("{\"op\": \"stats\"}");
+    const json::Value *counters =
+        resp.find("stats") ? resp.find("stats")->find("counters")
+                           : nullptr;
+    ASSERT_NE(counters, nullptr);
+    EXPECT_EQ(counters->numberOr("serve.connections_rejected", 0.0),
+              1.0);
 }
 
 TEST(ServeServer, ShutdownDrainsQueuedRequestsBeforeExiting)

@@ -15,11 +15,13 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <thread>
 
 #include "baselines/brpnas.h"
 #include "baselines/gates.h"
 #include "baselines/lut.h"
+#include "common/obs.h"
 #include "common/threadpool.h"
 #include "core/dominance.h"
 #include "core/hwprnas.h"
@@ -557,6 +559,53 @@ TEST(BatchPlanTest, EmptyBatchIsAWellDefinedNoOp)
     // Grain stays a pure function of n — no div-by-zero in the
     // ceil(n/16) math.
     EXPECT_EQ(core::BatchPlan::chunkGrain(0), 16u);
+}
+
+TEST(BatchPlanTest, ScratchStaysBoundedAcrossBatchShapes)
+{
+    // A long-lived plan (the server's, a search's) sees ever new batch
+    // sizes, rank-cache miss counts and GCN node totals. Its scratch
+    // must settle at the largest buffer each acquisition position has
+    // asked for, not grow with every new shape.
+    core::HwPrNasConfig mc;
+    mc.encoder = tinyEncoder();
+    core::HwPrNas model(mc, nasbench::DatasetId::Cifar10, 5);
+    model.setFitConfig(quickFit());
+    ExecContext ctx = ExecContext::global().withSeed(7);
+    model.fit(tinySurrogateData(), ctx);
+
+    const bool metrics_were_on = obs::metricsEnabled();
+    obs::setMetricsEnabled(true);
+    const obs::Gauge &scratch_bytes =
+        obs::Registry::global().gauge("predict.plan.scratch_bytes");
+    constexpr std::size_t kBatches = 200;
+    Rng rng(2026);
+    std::set<std::pair<int, std::vector<int>>> seen;
+    core::BatchPlan plan;
+    double early = 0.0;
+    for (std::size_t b = 0; b < kBatches; ++b) {
+        // Never-repeating architectures: every rank pass misses.
+        std::vector<nasbench::Architecture> batch(1 + rng.index(300));
+        for (nasbench::Architecture &arch : batch)
+            do
+                arch = (rng.bernoulli(0.25) ? nasbench::nasBench201()
+                                            : nasbench::fbnet())
+                           .sample(rng);
+            while (!seen.emplace(int(arch.space), arch.genome).second);
+        if (b % 2 == 0)
+            model.predictBatch(batch, plan);
+        else
+            model.rankBatch(batch, plan);
+        if (b + 1 == kBatches / 10)
+            early = scratch_bytes.value();
+    }
+    const double last = scratch_bytes.value();
+    obs::setMetricsEnabled(metrics_were_on);
+    RecordProperty("scratch_bytes_early", std::to_string(early));
+    RecordProperty("scratch_bytes_last", std::to_string(last));
+    ASSERT_GT(early, 0.0);
+    EXPECT_LE(last, 1.5 * early)
+        << "scratch grew from " << early << " to " << last << " bytes";
 }
 
 TEST(SurrogateIface, EmptyBatchNoOpAcrossAllFamilies)
