@@ -6,14 +6,23 @@
  * (x86-64-v3) with an ifunc resolver picking the variant once at load
  * time; other machines run the portable default. One binary, no
  * baseline-ISA requirement. GCC only — clang's target_clones cannot
- * take arch= levels. (An x86-64-v4 clone was measured and rejected:
- * 512-bit codegen halved the throughput of the strided-B AtB GEMM
- * worker that was cloned at the time.)
+ * take arch= levels. Only the elementwise accumulation loops and the
+ * transpose pack are cloned. They stay at v3: an x86-64-v4 clone
+ * would let the compiler pick its own 512-bit loop shapes and
+ * epilogues, and nothing here needs it.
  *
- * HWPR_TARGET_AVX2_FMA marks explicit-intrinsic kernels (the GEMM
- * register tiles in common/matrix.cc). They are compiled for AVX2+FMA
- * alongside the portable code and called only when cpuHasAvx2Fma()
- * says so. No ifunc is involved, so sanitized builds run them too.
+ * HWPR_TARGET_AVX2_FMA and HWPR_TARGET_AVX512F mark explicit-intrinsic
+ * kernels: the GEMM register tiles in common/matrix.cc. They are
+ * compiled alongside the portable code and called only when
+ * cpuHasAvx2Fma() or cpuHasAvx512f() says so. No ifunc is involved,
+ * so sanitized builds run them too. The AVX-512F tiles are 4 rows x
+ * 32 columns (16 zmm accumulators), 1-2 rows x 64 columns, then
+ * 16- and 8-column tiles; their last n % 8 columns run the AVX2
+ * tiles' 4-wide and scalar std::fma columns, so the AVX-512F target
+ * includes FMA. (An x86-64-v4 *clone* of an earlier A^T * B worker,
+ * which read B with a stride, ran at half the v3 clone's throughput.
+ * That worker is gone: A^T * B now walks a strided A through the same
+ * tiles, and explicit tiles fix the shapes the compiler chose then.)
  *
  * HWPR_FORCE_INLINE marks helpers that must inline into their caller:
  * left as standalone functions they would compile once for the
@@ -26,7 +35,13 @@
  * machine, because one variant is chosen process-wide. Kernels whose
  * results must match each other exactly (e.g. the tiled and naive
  * GEMMs in common/matrix.cc) must pick their variant with the same
- * test so both compute identical accumulation chains.
+ * test so both compute identical accumulation chains. The AVX2 and
+ * AVX-512F tiles compute the same chains (one fused multiply-add per
+ * step, ascending k), so cpuHasAvx2Fma() alone decides the chain step
+ * and cpuHasAvx512f() only the vector width. The activation sweeps
+ * (nn::detail::sigmoidMap/tanhMap) stay on libmvec's 4-lane variants
+ * even where AVX-512F runs: libmvec's 8-lane exp and tanh may round
+ * differently by an ulp, which would change every checkpoint.
  */
 
 #ifndef HWPR_COMMON_ISA_H
@@ -49,6 +64,7 @@
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
 #define HWPR_AVX2_FMA_KERNELS 1
 #define HWPR_TARGET_AVX2_FMA __attribute__((target("avx2,fma")))
+#define HWPR_TARGET_AVX512F __attribute__((target("avx512f,fma")))
 #endif
 
 #if defined(__GNUC__)
@@ -73,6 +89,25 @@ cpuHasAvx2Fma()
     static const bool yes = [] {
         __builtin_cpu_init();
         return __builtin_cpu_supports("x86-64-v3") != 0;
+    }();
+    return yes;
+#else
+    return false;
+#endif
+}
+
+/**
+ * True when this process runs the HWPR_TARGET_AVX512F kernels: those
+ * of cpuHasAvx2Fma() run, and the CPU and OS support AVX-512F.
+ * Evaluated once per process, in every build flavour.
+ */
+inline bool
+cpuHasAvx512f()
+{
+#ifdef HWPR_AVX2_FMA_KERNELS
+    static const bool yes = [] {
+        __builtin_cpu_init();
+        return cpuHasAvx2Fma() && __builtin_cpu_supports("avx512f") != 0;
     }();
     return yes;
 #else

@@ -1,6 +1,7 @@
 #include "common/matrix.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/isa.h"
@@ -29,11 +30,12 @@ constexpr std::size_t kGemmGrainFlops = std::size_t(1) << 15;
 constexpr std::size_t kMapParallelSize = std::size_t(1) << 15;
 
 /**
- * Register-tile shape. kMr x kNr accumulators live in registers for
+ * Register-tile shape. Up to kMr output rows stay in registers for
  * the whole k loop, so each output element is one scalar ascending-k
  * chain — the canonical accumulation order shared with the naive
- * reference kernels. kNc is the column cache block: the k x kNc panel
- * of B stays hot while every row block of the chunk sweeps it.
+ * reference kernels. kNr is the portable tile's width and the AVX2
+ * tiles' two-vector width. kNc is the column cache block: the k x kNc
+ * panel of B stays hot while every row block of the chunk sweeps it.
  */
 constexpr std::size_t kMr = 4;
 constexpr std::size_t kNr = 8;
@@ -103,23 +105,37 @@ rowGrain(std::size_t flops_per_row)
 }
 
 /*
- * Two kernel sets compute the same chunks. Both take the left factor
+ * Three tile sets compute the same chunks. Each takes the left factor
  * as strides: element (r, k) of the m x kk left operand sits at
  * a[r * rs + k * ks], so A * B passes (kk, 1) and A^T * B walks the
  * stored kk x m matrix with (1, m). B and C are row-major with
  * leading dimension n.
  *
- *  - AVX2+FMA (common/isa.h, chosen once per process by
- *    cpuHasAvx2Fma()): explicit-intrinsic register tiles. Every chain
- *    step is one fused multiply-add, seeded with +0.0 or the existing
- *    output, with no zero skip: fma(0, b, acc) == acc for every
- *    finite b.
+ *  - AVX-512F and AVX2+FMA (common/isa.h): explicit-intrinsic register
+ *    tiles, 8 and 4 lanes wide. Every chain step is one fused
+ *    multiply-add of one broadcast A element, seeded with +0.0 or the
+ *    existing output, with no zero skip: fma(0, b, acc) == acc for
+ *    every finite b. The two sets compute the same chains; only the
+ *    number of elements in flight differs.
  *  - Portable: runtime-bounded tiles, one rounded multiply and one
  *    add per step, zero A elements skipped.
  *
- * The naive reference kernels follow the same predicate, so tiled ==
- * naive holds exactly on every machine and in every build flavour.
+ * A set is kMr strips, strip mr covering mr output rows over one
+ * column block; gemmRows is the one row and column blocking over
+ * them. The process runs the widest set its CPU has (gemmTiles()).
+ * The naive reference kernels step with std::fma under the same
+ * cpuHasAvx2Fma() test, so tiled == naive holds exactly on every
+ * machine and in every build flavour.
  */
+
+/** C rows [0, mr) x columns [j0, j1) (+)= A * B for one fixed mr. */
+using Strip = void (*)(const double *a, std::size_t rs, std::size_t ks,
+                       const double *b, double *c, std::size_t n,
+                       std::size_t j0, std::size_t j1, std::size_t kk,
+                       bool accumulate);
+
+/** A tile set: element mr - 1 is the strip of mr rows. */
+using TileSet = std::array<Strip, kMr>;
 
 #ifdef HWPR_AVX2_FMA_KERNELS
 
@@ -175,13 +191,14 @@ fmaTileScalar(const double *a, std::size_t rs, std::size_t ks,
 }
 
 /**
- * MR rows x columns [j0, j1). Tiles hold about eight accumulator
- * vectors, enough independent chains to cover the FMA latency: one
- * row takes 32 columns per tile, two rows 16, three or four rows 8.
- * Then 8-wide tiles, a 4-wide one and scalar columns finish the strip.
+ * AVX2 strip: MR rows x columns [j0, j1). Tiles hold about eight
+ * accumulator vectors, enough independent chains to cover the FMA
+ * latency: one row takes 32 columns per tile, two rows 16, three or
+ * four rows 8. Then 8-wide tiles, a 4-wide one and scalar columns
+ * finish the strip.
  */
 template <std::size_t MR>
-HWPR_TARGET_AVX2_FMA HWPR_FORCE_INLINE void
+HWPR_TARGET_AVX2_FMA void
 fmaStrip(const double *a, std::size_t rs, std::size_t ks,
          const double *b, double *c, std::size_t n, std::size_t j0,
          std::size_t j1, std::size_t kk, bool accumulate)
@@ -202,35 +219,76 @@ fmaStrip(const double *a, std::size_t rs, std::size_t ks,
                           accumulate);
 }
 
-/** Output rows [i0, i1) of C (+)= A * B on the AVX2+FMA tiles. */
-HWPR_TARGET_AVX2_FMA void
-gemmRowsFma(const double *a, std::size_t rs, std::size_t ks,
-            const double *b, double *c, std::size_t i0, std::size_t i1,
-            std::size_t n, std::size_t kk, bool accumulate)
+/**
+ * fmaTile at twice the width: MR x 8*NV, per k NV 8-wide loads of the
+ * B row, one broadcast per A row, MR * NV fused multiply-adds. (GCC
+ * cannot compile one template body for both targets, so the two
+ * tiles mirror each other line for line.)
+ */
+template <std::size_t MR, std::size_t NV>
+HWPR_TARGET_AVX512F HWPR_FORCE_INLINE void
+fmaTile512(const double *a, std::size_t rs, std::size_t ks,
+           const double *b, double *c, std::size_t n, std::size_t kk,
+           bool accumulate)
 {
-    for (std::size_t j0 = 0; j0 < n; j0 += kNc) {
-        const std::size_t j1 = std::min(n, j0 + kNc);
-        std::size_t i = i0;
-        for (; i + kMr <= i1; i += kMr)
-            fmaStrip<kMr>(a + i * rs, rs, ks, b, c + i * n, n, j0, j1,
-                          kk, accumulate);
-        const double *ai = a + i * rs;
-        double *ci = c + i * n;
-        switch (i1 - i) {
-        case 3:
-            fmaStrip<3>(ai, rs, ks, b, ci, n, j0, j1, kk, accumulate);
-            break;
-        case 2:
-            fmaStrip<2>(ai, rs, ks, b, ci, n, j0, j1, kk, accumulate);
-            break;
-        case 1:
-            fmaStrip<1>(ai, rs, ks, b, ci, n, j0, j1, kk, accumulate);
-            break;
-        default:
-            break;
+    __m512d acc[MR][NV];
+    for (std::size_t r = 0; r < MR; ++r)
+        for (std::size_t v = 0; v < NV; ++v)
+            acc[r][v] = accumulate ? _mm512_loadu_pd(c + r * n + 8 * v)
+                                   : _mm512_setzero_pd();
+    for (std::size_t k = 0; k < kk; ++k) {
+        __m512d bk[NV];
+        for (std::size_t v = 0; v < NV; ++v)
+            bk[v] = _mm512_loadu_pd(b + k * n + 8 * v);
+        for (std::size_t r = 0; r < MR; ++r) {
+            const __m512d av = _mm512_set1_pd(a[r * rs + k * ks]);
+            for (std::size_t v = 0; v < NV; ++v)
+                acc[r][v] = _mm512_fmadd_pd(av, bk[v], acc[r][v]);
         }
     }
+    for (std::size_t r = 0; r < MR; ++r)
+        for (std::size_t v = 0; v < NV; ++v)
+            _mm512_storeu_pd(c + r * n + 8 * v, acc[r][v]);
 }
+
+/**
+ * AVX-512F strip: three or four rows take 32 columns per tile (up to
+ * 16 accumulators of the 32 zmm registers), one or two rows 64. What
+ * is left takes at most one tile each of 32 (one or two rows), 16 and
+ * 8 columns; the last n % 8 columns run the AVX2 strip's 4-wide and
+ * scalar columns, so no masked loads are needed.
+ */
+template <std::size_t MR>
+HWPR_TARGET_AVX512F void
+fmaStrip512(const double *a, std::size_t rs, std::size_t ks,
+            const double *b, double *c, std::size_t n, std::size_t j0,
+            std::size_t j1, std::size_t kk, bool accumulate)
+{
+    constexpr std::size_t nv = MR > 2 ? 4 : 8;
+    std::size_t j = j0;
+    for (; j + 8 * nv <= j1; j += 8 * nv)
+        fmaTile512<MR, nv>(a, rs, ks, b + j, c + j, n, kk, accumulate);
+    if constexpr (nv > 4)
+        if (j + 32 <= j1) {
+            fmaTile512<MR, 4>(a, rs, ks, b + j, c + j, n, kk, accumulate);
+            j += 32;
+        }
+    if (j + 16 <= j1) {
+        fmaTile512<MR, 2>(a, rs, ks, b + j, c + j, n, kk, accumulate);
+        j += 16;
+    }
+    if (j + 8 <= j1) {
+        fmaTile512<MR, 1>(a, rs, ks, b + j, c + j, n, kk, accumulate);
+        j += 8;
+    }
+    if (j < j1)
+        fmaStrip<MR>(a, rs, ks, b, c, n, j, j1, kk, accumulate);
+}
+
+constexpr TileSet kAvx2Tiles = {fmaStrip<1>, fmaStrip<2>, fmaStrip<3>,
+                                fmaStrip<4>};
+constexpr TileSet kAvx512Tiles = {fmaStrip512<1>, fmaStrip512<2>,
+                                  fmaStrip512<3>, fmaStrip512<4>};
 
 #endif // HWPR_AVX2_FMA_KERNELS
 
@@ -265,31 +323,49 @@ gemmTilePortable(const double *a, std::size_t rs, std::size_t ks,
             c[r * n + j] = acc[r][j];
 }
 
-/**
- * Chunk worker: output rows [i0, i1) of C (+)= A * B, A given by
- * strides (above). Dispatches to the AVX2+FMA tiles when the CPU has
- * them, else loops the portable tiles over the same cache blocks.
- */
+/** Portable strip: kNr-wide tiles, the last one narrower. */
+template <std::size_t MR>
 void
-gemmRows(const double *a, std::size_t rs, std::size_t ks,
-         const double *b, double *c, std::size_t i0, std::size_t i1,
-         std::size_t n, std::size_t kk, bool accumulate)
+portableStrip(const double *a, std::size_t rs, std::size_t ks,
+              const double *b, double *c, std::size_t n, std::size_t j0,
+              std::size_t j1, std::size_t kk, bool accumulate)
+{
+    for (std::size_t j = j0; j < j1; j += kNr)
+        gemmTilePortable(a, rs, ks, b + j, c + j, n, MR,
+                         std::min(kNr, j1 - j), kk, accumulate);
+}
+
+constexpr TileSet kPortableTiles = {portableStrip<1>, portableStrip<2>,
+                                    portableStrip<3>, portableStrip<4>};
+
+const TileSet &
+tileSet(GemmTiles tiles)
 {
 #ifdef HWPR_AVX2_FMA_KERNELS
-    if (cpuHasAvx2Fma()) {
-        gemmRowsFma(a, rs, ks, b, c, i0, i1, n, kk, accumulate);
-        return;
-    }
+    if (tiles == GemmTiles::Avx512)
+        return kAvx512Tiles;
+    if (tiles == GemmTiles::Avx2)
+        return kAvx2Tiles;
 #endif
+    (void)tiles;
+    return kPortableTiles;
+}
+
+/**
+ * Chunk worker: output rows [i0, i1) of C (+)= A * B, A given by
+ * strides (above), one strip per kMr rows and column block.
+ */
+void
+gemmRows(const TileSet &tiles, const double *a, std::size_t rs,
+         std::size_t ks, const double *b, double *c, std::size_t i0,
+         std::size_t i1, std::size_t n, std::size_t kk, bool accumulate)
+{
     for (std::size_t j0 = 0; j0 < n; j0 += kNc) {
         const std::size_t j1 = std::min(n, j0 + kNc);
-        for (std::size_t i = i0; i < i1; i += kMr) {
-            const std::size_t mr = std::min(kMr, i1 - i);
-            for (std::size_t j = j0; j < j1; j += kNr)
-                gemmTilePortable(a + i * rs, rs, ks, b + j,
-                                 c + i * n + j, n, mr,
-                                 std::min(kNr, j1 - j), kk, accumulate);
-        }
+        for (std::size_t i = i0; i < i1; i += kMr)
+            tiles[std::min(kMr, i1 - i) - 1](a + i * rs, rs, ks, b,
+                                             c + i * n, n, j0, j1, kk,
+                                             accumulate);
     }
 }
 
@@ -314,6 +390,78 @@ packTransposed(const double *b, double *bt, std::size_t n,
                     bt[k * n + j] = brow[k];
             }
         }
+    }
+}
+
+/** Metrics of product @p p, registered on its first call. */
+GemmMetrics &
+gemmMetrics(detail::GemmProduct p)
+{
+    switch (p) {
+    case detail::GemmProduct::AtB: {
+        static GemmMetrics gm("atb");
+        return gm;
+    }
+    case detail::GemmProduct::ABt: {
+        static GemmMetrics gm("abt");
+        return gm;
+    }
+    default: {
+        static GemmMetrics gm("ab");
+        return gm;
+    }
+    }
+}
+
+/**
+ * out (+)= product @p p of @p a and @p b on @p tiles: the body of the
+ * three Matrix products, shapes already checked. Below
+ * kGemmParallelFlops one serial pass; above it, kMr-aligned whole-row
+ * chunks on the global pool.
+ */
+void
+gemm(GemmTiles tiles, detail::GemmProduct p, const Matrix &a,
+     const Matrix &b, Matrix &out, bool accumulate)
+{
+    static const char *const spans[] = {"gemm.ab", "gemm.atb",
+                                        "gemm.abt"};
+    // A^T * B reads the stored (k x m) A with strides (1, m).
+    const bool at = p == detail::GemmProduct::AtB;
+    const std::size_t m = at ? a.cols() : a.rows();
+    const std::size_t kk = at ? a.rows() : a.cols();
+    const std::size_t n = out.cols();
+    const std::size_t rs = at ? 1 : kk;
+    const std::size_t ks = at ? m : 1;
+    const std::size_t flops_per_row = kk * n;
+    GemmTimer timer(gemmMetrics(p), m * flops_per_row);
+    const double *panel = b.data();
+    if (p == detail::GemmProduct::ABt) {
+        // Pack b^T once, then run the contiguous A * B chunk worker
+        // over it: every row tile re-reads the whole B panel, so the
+        // strided column gathers are paid once instead of per tile
+        // (O(k*n) moves against O(m*k*n) multiply-adds), and A * B^T
+        // shares the A * B tiles instead of keeping gathered ones.
+        thread_local std::vector<double> packed;
+        packed.resize(kk * n);
+        packTransposed(b.data(), packed.data(), n, kk);
+        panel = packed.data();
+    }
+    // Capture the panel pointer, not the vector: the lambda runs on
+    // pool threads, where the thread_local above is a different
+    // (empty) instance.
+    const TileSet &set = tileSet(tiles);
+    auto rows_kernel = [&, panel](std::size_t i0, std::size_t i1) {
+        gemmRows(set, a.data(), rs, ks, panel, out.data(), i0, i1, n, kk,
+                 accumulate);
+    };
+    if (m * flops_per_row < kGemmParallelFlops) {
+        rows_kernel(0, m);
+    } else {
+        HWPR_SPAN(spans[int(p)], {{"m", double(m)},
+                                  {"n", double(n)},
+                                  {"k", double(kk)}});
+        ExecContext::global().pool->parallelFor(
+            0, m, rowGrain(flops_per_row), rows_kernel);
     }
 }
 
@@ -513,6 +661,27 @@ Matrix::operator*(double s) const
     return r;
 }
 
+GemmTiles
+gemmTiles()
+{
+    if (cpuHasAvx512f())
+        return GemmTiles::Avx512;
+    return cpuHasAvx2Fma() ? GemmTiles::Avx2 : GemmTiles::Portable;
+}
+
+const char *
+gemmTilesName(GemmTiles tiles)
+{
+    switch (tiles) {
+    case GemmTiles::Avx512:
+        return "avx512";
+    case GemmTiles::Avx2:
+        return "avx2";
+    default:
+        return "portable";
+    }
+}
+
 void
 Matrix::matmulInto(const Matrix &o, Matrix &out,
                    bool accumulate) const
@@ -521,24 +690,7 @@ Matrix::matmulInto(const Matrix &o, Matrix &out,
                 " vs ", o.rows_);
     HWPR_ASSERT(out.rows_ == rows_ && out.cols_ == o.cols_,
                 "matmulInto output shape mismatch");
-    const std::size_t n = o.cols_;
-    const std::size_t kk = cols_;
-    auto rows_kernel = [&](std::size_t i0, std::size_t i1) {
-        gemmRows(data_.data(), kk, 1, o.data_.data(), out.data_.data(),
-                 i0, i1, n, kk, accumulate);
-    };
-    const std::size_t flops_per_row = kk * n;
-    static GemmMetrics gm("ab");
-    GemmTimer timer(gm, rows_ * flops_per_row);
-    if (rows_ * flops_per_row < kGemmParallelFlops) {
-        rows_kernel(0, rows_);
-    } else {
-        HWPR_SPAN("gemm.ab", {{"m", double(rows_)},
-                              {"n", double(n)},
-                              {"k", double(kk)}});
-        ExecContext::global().pool->parallelFor(
-            0, rows_, rowGrain(flops_per_row), rows_kernel);
-    }
+    gemm(gemmTiles(), detail::GemmProduct::AB, *this, o, out, accumulate);
 }
 
 Matrix
@@ -557,25 +709,7 @@ Matrix::transposedMatmulInto(const Matrix &o, Matrix &out,
     HWPR_ASSERT(rows_ == o.rows_, "transposedMatmul row mismatch");
     HWPR_ASSERT(out.rows_ == cols_ && out.cols_ == o.cols_,
                 "transposedMatmulInto output shape mismatch");
-    const std::size_t m = cols_;
-    const std::size_t n = o.cols_;
-    const std::size_t kk = rows_;
-    auto rows_kernel = [&](std::size_t i0, std::size_t i1) {
-        gemmRows(data_.data(), 1, m, o.data_.data(), out.data_.data(),
-                 i0, i1, n, kk, accumulate);
-    };
-    const std::size_t flops_per_row = kk * n;
-    static GemmMetrics gm("atb");
-    GemmTimer timer(gm, m * flops_per_row);
-    if (m * flops_per_row < kGemmParallelFlops) {
-        rows_kernel(0, m);
-    } else {
-        HWPR_SPAN("gemm.atb", {{"m", double(m)},
-                               {"n", double(n)},
-                               {"k", double(kk)}});
-        ExecContext::global().pool->parallelFor(
-            0, m, rowGrain(flops_per_row), rows_kernel);
-    }
+    gemm(gemmTiles(), detail::GemmProduct::AtB, *this, o, out, accumulate);
 }
 
 Matrix
@@ -594,36 +728,7 @@ Matrix::matmulTransposedInto(const Matrix &o, Matrix &out,
     HWPR_ASSERT(cols_ == o.cols_, "matmulTransposed col mismatch");
     HWPR_ASSERT(out.rows_ == rows_ && out.cols_ == o.rows_,
                 "matmulTransposedInto output shape mismatch");
-    const std::size_t n = o.rows_;
-    const std::size_t kk = cols_;
-    const std::size_t flops_per_row = kk * n;
-    static GemmMetrics gm("abt");
-    GemmTimer timer(gm, rows_ * flops_per_row);
-    // Pack o^T once, then run the contiguous A * B chunk worker over
-    // it: every row tile re-reads the whole B panel, so the strided
-    // column gathers are paid once instead of per tile (O(k*n) moves
-    // against O(m*k*n) multiply-adds), and A * B^T shares the A * B
-    // tiles instead of keeping gathered ones.
-    thread_local std::vector<double> packed;
-    packed.resize(kk * n);
-    packTransposed(o.data_.data(), packed.data(), n, kk);
-    // Capture the panel pointer, not the vector: the lambda runs on
-    // pool threads, where the thread_local above is a different
-    // (empty) instance.
-    const double *panel = packed.data();
-    auto rows_kernel = [&, panel](std::size_t i0, std::size_t i1) {
-        gemmRows(data_.data(), kk, 1, panel, out.data_.data(), i0, i1,
-                 n, kk, accumulate);
-    };
-    if (rows_ * flops_per_row < kGemmParallelFlops) {
-        rows_kernel(0, rows_);
-    } else {
-        HWPR_SPAN("gemm.abt", {{"m", double(rows_)},
-                               {"n", double(n)},
-                               {"k", double(kk)}});
-        ExecContext::global().pool->parallelFor(
-            0, rows_, rowGrain(flops_per_row), rows_kernel);
-    }
+    gemm(gemmTiles(), detail::GemmProduct::ABt, *this, o, out, accumulate);
 }
 
 Matrix
@@ -633,6 +738,27 @@ Matrix::matmulTransposed(const Matrix &o) const
     matmulTransposedInto(o, r);
     return r;
 }
+
+namespace detail
+{
+
+void
+gemmOnTiles(GemmTiles tiles, GemmProduct p, const Matrix &a,
+            const Matrix &b, Matrix &out, bool accumulate)
+{
+    // The CPU runs every set up to its widest.
+    HWPR_CHECK(tiles <= gemmTiles(), "gemmOnTiles: this CPU cannot run the ",
+               gemmTilesName(tiles), " tiles");
+    const bool at = p == GemmProduct::AtB;
+    const bool bt = p == GemmProduct::ABt;
+    HWPR_CHECK((at ? a.rows() : a.cols()) == (bt ? b.cols() : b.rows()) &&
+                   out.rows() == (at ? a.cols() : a.rows()) &&
+                   out.cols() == (bt ? b.rows() : b.cols()),
+               "gemmOnTiles: operand shapes mismatch");
+    gemm(tiles, p, a, b, out, accumulate);
+}
+
+} // namespace detail
 
 Matrix
 Matrix::matmulNaive(const Matrix &o) const
@@ -770,10 +896,10 @@ Matrix::hconcat(const Matrix &a, const Matrix &b)
     HWPR_ASSERT(a.rows_ == b.rows_, "hconcat row mismatch");
     Matrix r(a.rows_, a.cols_ + b.cols_);
     for (std::size_t i = 0; i < a.rows_; ++i) {
-        std::copy(&a.data_[i * a.cols_], &a.data_[(i + 1) * a.cols_],
-                  &r.data_[i * r.cols_]);
-        std::copy(&b.data_[i * b.cols_], &b.data_[(i + 1) * b.cols_],
-                  &r.data_[i * r.cols_ + a.cols_]);
+        std::copy(a.data() + i * a.cols_, a.data() + (i + 1) * a.cols_,
+                  r.data() + i * r.cols_);
+        std::copy(b.data() + i * b.cols_, b.data() + (i + 1) * b.cols_,
+                  r.data() + i * r.cols_ + a.cols_);
     }
     return r;
 }

@@ -15,9 +15,10 @@
  * are also bit-identical at every thread count.
  *
  * Where cpuHasAvx2Fma() (common/isa.h) holds, the tiles are explicit
- * AVX2+FMA intrinsics and every chain step is one fused multiply-add;
- * elsewhere portable tiles multiply, round and add. The naive kernels
- * follow the same predicate, so tiled == naive on every machine.
+ * intrinsics and every chain step is one fused multiply-add: 8 lanes
+ * wide where cpuHasAvx512f() also holds, else 4. Elsewhere portable
+ * tiles multiply, round and add. The naive kernels follow
+ * cpuHasAvx2Fma(), so tiled == naive on every machine.
  *
  * The *Into variants write (or, with accumulate=true, add into) a
  * caller-provided output buffer, so gradients accumulate in place and
@@ -182,6 +183,46 @@ class Matrix
     std::size_t cols_ = 0;
     std::vector<double> data_;
 };
+
+/** The GEMM register-tile sets (common/matrix.cc), narrowest first. */
+enum class GemmTiles
+{
+    Portable, ///< multiply, round, add: any CPU
+    Avx2,     ///< 4-wide fused multiply-adds: cpuHasAvx2Fma()
+    Avx512,   ///< 8-wide fused multiply-adds: cpuHasAvx512f()
+};
+
+/**
+ * The tile set every Matrix product runs in this process: the widest
+ * this CPU has. Fixed for the life of the process.
+ */
+GemmTiles gemmTiles();
+
+/** "portable", "avx2" or "avx512" (run provenance). */
+const char *gemmTilesName(GemmTiles tiles);
+
+namespace detail
+{
+
+/** The three products, as gemmOnTiles names them. */
+enum class GemmProduct
+{
+    AB,  ///< a * b, as matmulInto
+    AtB, ///< a^T * b, as transposedMatmulInto
+    ABt, ///< a * b^T, as matmulTransposedInto
+};
+
+/**
+ * Test-only: out (+)= product @p p of @p a and @p b, computed as the
+ * Matrix *Into entry points compute it (packing, chunking, pool
+ * fan-out), but on @p tiles instead of gemmTiles(). @p tiles must be
+ * a set this CPU runs. It lets one machine check every tile set it
+ * has against the same oracles; the shipped products take no switch.
+ */
+void gemmOnTiles(GemmTiles tiles, GemmProduct p, const Matrix &a,
+                 const Matrix &b, Matrix &out, bool accumulate);
+
+} // namespace detail
 
 } // namespace hwpr
 

@@ -16,6 +16,8 @@
 #include <sstream>
 #include <thread>
 
+#include "common/matrix.h"
+
 #ifndef HWPR_GIT_SHA
 #define HWPR_GIT_SHA "unknown"
 #endif
@@ -950,6 +952,8 @@ runMetaJson(const std::string &indent)
     std::ostringstream out;
     out << "{\n"
         << in1 << "\"build\": \"" << buildFlags() << "\",\n"
+        << in1 << "\"gemm_tiles\": \"" << gemmTilesName(gemmTiles())
+        << "\",\n"
         << in1 << "\"git_sha\": \"" << gitSha() << "\",\n"
         << in1 << "\"hardware_threads\": "
         << std::thread::hardware_concurrency() << ",\n"

@@ -446,7 +446,8 @@ const char *gitSha();
 const char *buildFlags();
 
 /**
- * One JSON object with run provenance and vitals: build flags, git
+ * One JSON object with run provenance and vitals: build flags, the
+ * GEMM tile set that ran (gemm_tiles: avx512, avx2 or portable), git
  * sha, hardware_threads, peak RSS and page-fault counts. Embedded in
  * every bench JSON ("meta" key) and every ledger record.
  */

@@ -376,24 +376,21 @@ LstmEncoder::encodeBatchInto(
         HWPR_CHECK(s.size() == steps,
                    "LSTM batch requires equal-length sequences");
     const std::size_t h = cfg_.hidden;
-    const Matrix &embed = embedding_.value();
 
-    // Embedded inputs per step plus one hidden-state snapshot per
-    // step: layer l reads snapshot t (the layer below's h_t) into its
-    // input product before the step overwrites it with its own h_t,
-    // so all layers share the same `steps` buffers.
-    std::vector<Matrix *> inputs(steps), snap(steps);
-    for (std::size_t t = 0; t < steps; ++t) {
-        Matrix &x = scratch.acquire(batch, cfg_.embedDim);
-        for (std::size_t b = 0; b < batch; ++b) {
-            HWPR_ASSERT(sequences[b][t] < cfg_.vocab, "token OOB");
-            const std::size_t id = sequences[b][t];
-            for (std::size_t j = 0; j < cfg_.embedDim; ++j)
-                x(b, j) = embed(id, j);
-        }
-        inputs[t] = &x;
+    // Layer 0's input products are rows of the (vocab x 4h) table
+    // embedding * wx0, as in lstmStack: row id of it is the same
+    // ascending-k chain as the product of a gathered row id. The
+    // table is vocab rows of products per call where the per-step
+    // products were steps x batch rows.
+    Matrix &table = scratch.acquire(cfg_.vocab, 4 * h);
+    embedding_.value().matmulInto(layerParams_[0].wx.value(), table);
+    // One hidden-state snapshot per step: layer l reads snapshot t (the
+    // layer below's h_t) into its input product before the step
+    // overwrites it with its own h_t, so all layers share the same
+    // `steps` buffers.
+    std::vector<Matrix *> snap(steps);
+    for (std::size_t t = 0; t < steps; ++t)
         snap[t] = &scratch.acquire(batch, h);
-    }
 
     Matrix &z = scratch.acquire(batch, 4 * h);
     Matrix &zh = scratch.acquire(batch, 4 * h);
@@ -408,7 +405,16 @@ LstmEncoder::encodeBatchInto(
         const LstmLayer &lp = layerParams_[l];
         c.fill(0.0);
         for (std::size_t t = 0; t < steps; ++t) {
-            (l ? *snap[t] : *inputs[t]).matmulInto(lp.wx.value(), z);
+            if (l)
+                snap[t]->matmulInto(lp.wx.value(), z);
+            else
+                for (std::size_t b = 0; b < batch; ++b) {
+                    const std::size_t id = sequences[b][t];
+                    HWPR_ASSERT(id < cfg_.vocab, "token OOB");
+                    std::memcpy(z.data() + b * 4 * h,
+                                table.data() + id * 4 * h,
+                                4 * h * sizeof(double));
+                }
             stepForward(lp, t ? *snap[t - 1] : zeros, c, z, zh,
                         {i_g, f_g, g_g, o_g, c, g_g, *snap[t], f_g,
                          i_g});

@@ -102,11 +102,13 @@ class LstmEncoder : public Module
 
     /**
      * Inference-only encoding on raw matrices, no autodiff node: every
-     * intermediate (embedded steps, gate panels, hidden/cell state)
-     * comes from @p scratch, so repeated passes allocate nothing. The
-     * returned reference points at scratch memory valid until the next
-     * scratch reset. Runs lstmStack's step routine with per-step input
-     * products, so it matches forward() bit for bit.
+     * intermediate (layer 0's embedding * wx0 table, gate panels,
+     * hidden/cell state) comes from @p scratch, so repeated passes
+     * allocate nothing. The returned reference points at scratch
+     * memory valid until the next scratch reset. Runs lstmStack's step
+     * routine, reading layer 0's input products from the table as
+     * lstmStack does and computing each later layer's per step, so it
+     * matches forward() bit for bit.
      */
     const Matrix &encodeBatchInto(
         const std::vector<std::vector<std::size_t>> &sequences,

@@ -1,8 +1,13 @@
 #include "nn/quant.h"
 
+#include <algorithm>
 #include <cmath>
 
+#include "common/isa.h"
 #include "common/logging.h"
+#ifdef HWPR_AVX2_FMA_KERNELS
+#include <immintrin.h>
+#endif
 
 namespace hwpr::nn
 {
@@ -16,6 +21,61 @@ namespace
  * cap exists to catch corrupted shapes, not overflow.
  */
 constexpr std::size_t kMaxQuantInDim = std::size_t(1) << 16;
+
+/** sum_k x[k] * w[k] over k < n, one int64 chain in ascending k. */
+std::int64_t
+dotScalar(const std::int16_t *x, const std::int8_t *w, std::size_t n)
+{
+    std::int64_t acc = 0;
+    for (std::size_t k = 0; k < n; ++k)
+        acc += std::int64_t(x[k]) * std::int64_t(w[k]);
+    return acc;
+}
+
+#ifdef HWPR_AVX2_FMA_KERNELS
+
+/**
+ * Longest k run summed in int32 lanes before widening to int64. Each
+ * of the eight lanes adds two products of at most 32767 * 127 < 2^22
+ * per 16 k, so a 256-k run stays below 2^27 per lane: no int32
+ * partial can overflow, at the paper's 600-wide inputs or any other.
+ */
+constexpr std::size_t kDotRun = 256;
+
+/**
+ * dotScalar on AVX2: the weights widened to int16, madd_epi16 into
+ * eight int32 lanes, the lanes widened to int64 after every kDotRun
+ * k, then scalar products for the last n % 16 k. Integer sums are
+ * exact in any order, so the result equals dotScalar's.
+ */
+HWPR_TARGET_AVX2_FMA std::int64_t
+dotAvx2(const std::int16_t *x, const std::int8_t *w, std::size_t n)
+{
+    const std::size_t vec_end = n - n % 16;
+    __m256i wide = _mm256_setzero_si256();
+    for (std::size_t k0 = 0; k0 < vec_end; k0 += kDotRun) {
+        const std::size_t k1 = std::min(vec_end, k0 + kDotRun);
+        __m256i lanes = _mm256_setzero_si256();
+        for (std::size_t k = k0; k < k1; k += 16) {
+            const __m256i xv = _mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(x + k));
+            const __m256i wv = _mm256_cvtepi8_epi16(_mm_loadu_si128(
+                reinterpret_cast<const __m128i *>(w + k)));
+            lanes = _mm256_add_epi32(lanes, _mm256_madd_epi16(xv, wv));
+        }
+        wide = _mm256_add_epi64(
+            wide, _mm256_cvtepi32_epi64(_mm256_castsi256_si128(lanes)));
+        wide = _mm256_add_epi64(
+            wide,
+            _mm256_cvtepi32_epi64(_mm256_extracti128_si256(lanes, 1)));
+    }
+    alignas(32) std::int64_t part[4];
+    _mm256_store_si256(reinterpret_cast<__m256i *>(part), wide);
+    return part[0] + part[1] + part[2] + part[3] +
+           dotScalar(x + vec_end, w + vec_end, n - vec_end);
+}
+
+#endif // HWPR_AVX2_FMA_KERNELS
 
 } // namespace
 
@@ -96,15 +156,17 @@ QuantizedLinear::forwardQuantized(const std::int16_t *xq,
 {
     HWPR_ASSERT(out.rows() == n && out.cols() == out_,
                 "forwardQuantized output shape mismatch");
+#ifdef HWPR_AVX2_FMA_KERNELS
+    const auto dot = cpuHasAvx2Fma() ? dotAvx2 : dotScalar;
+#else
+    const auto dot = dotScalar;
+#endif
     for (std::size_t r = 0; r < n; ++r) {
         const std::int16_t *xr = xq + r * in_;
         const double sx = xs[r];
         double *dst = &out.raw()[r * out_];
         for (std::size_t j = 0; j < out_; ++j) {
-            const std::int8_t *wr = &wq_[j * in_];
-            std::int64_t acc = 0;
-            for (std::size_t k = 0; k < in_; ++k)
-                acc += std::int64_t(xr[k]) * std::int64_t(wr[k]);
+            const std::int64_t acc = dot(xr, &wq_[j * in_], in_);
             dst[j] =
                 double(acc) * sx * double(wscale_[j]) + bias_[j];
         }

@@ -22,8 +22,8 @@
  * per surrogate family; see DESIGN.md "Quantized rank path".
  *
  * Determinism: rounding is std::lround (half away from zero), the
- * integer accumulation order is a fixed ascending-k loop (and integer
- * addition is exactly associative anyway), and the layout is a pure
+ * integer dot products are exact (integer addition is associative, so
+ * the vectorized and scalar sums agree), and the layout is a pure
  * function of the frozen weights — so the quantized path is
  * bit-reproducible across runs and thread counts just like the fp64
  * path.
@@ -72,7 +72,11 @@ class QuantizedLinear
      * @param out n x outDim fp64 result (overwritten)
      *
      * Accumulation is int64: |int8 x int16| products are < 2^22, so
-     * overflow would need 2^41 inputs — unreachable.
+     * overflow would need 2^41 inputs — unreachable. Where
+     * cpuHasAvx2Fma() holds, the dot product runs 16 k at a time
+     * (madd_epi16) into int32 lanes, widened to int64 after at most
+     * 256 k, so no partial sum can overflow; the sum is exact, so the
+     * result is the same on every machine.
      */
     void forwardQuantized(const std::int16_t *xq, const double *xs,
                           std::size_t n, Matrix &out) const;

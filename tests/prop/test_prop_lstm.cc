@@ -175,7 +175,10 @@ drawValue(Rng &rng, double scale)
         return 0.0;
     if (roll < 0.1)
         return -0.0;
-    return rng.normal(0.0, scale);
+    // normal(0, scale) by libstdc++'s own formula, so the draws are
+    // unchanged, without std::normal_distribution's stddev > 0
+    // precondition: scale may be 0.
+    return rng.normal(0.0, 1.0) * scale + 0.0;
 }
 
 std::vector<std::vector<std::size_t>>

@@ -18,11 +18,17 @@
  *    identity: tiled vs the shipped naive kernels (one dispatch
  *    predicate picks the chain step of both), Into vs the allocating
  *    entry points, and accumulate-onto-zero vs the plain product.
- *  - Against the oracle in this file: bit for bit when the AVX2+FMA
- *    kernels run (cpuHasAvx2Fma(); the oracle then steps with
- *    std::fma), within 1e-10 on the portable path, where a compiler
- *    may contract a*b+c into fma differently across translation
- *    units. Either strength catches real indexing/tiling bugs.
+ *  - Against the oracle in this file: bit for bit when fused tiles
+ *    run (the oracle then steps with std::fma), within 1e-10 on the
+ *    portable tiles, where a compiler may contract a*b+c into fma
+ *    differently across translation units. Either strength catches
+ *    real indexing/tiling bugs.
+ *
+ * The Matrix products always run the process's widest tile set. The
+ * EveryTileSet tests run each set this CPU has (portable always, AVX2
+ * and AVX-512F where present) through detail::gemmOnTiles, so a wide
+ * machine still checks the narrower sets, including every column
+ * tail past each tile width and every row remainder.
  */
 
 #include <gtest/gtest.h>
@@ -43,12 +49,9 @@ using namespace hwpr;
 namespace
 {
 
-enum class Op
-{
-    AB,  // a(m x k) * b(k x n)
-    AtB, // a(k x m)^T * b(k x n)
-    ABt, // a(m x k) * b(n x k)^T
-};
+// AB: a(m x k) * b(k x n); AtB: a(k x m)^T * b(k x n);
+// ABt: a(m x k) * b(n x k)^T.
+using Op = detail::GemmProduct;
 
 struct GemmCase
 {
@@ -61,11 +64,12 @@ struct GemmCase
 /**
  * Independent reference: the documented accumulation order, nothing
  * else. Each output element is one scalar chain over ascending k,
- * starting from the existing output value when accumulating. Under
- * the AVX2+FMA kernels every step is one fused multiply-add.
+ * starting from the existing output value when accumulating. With
+ * @p fused every step is one fused multiply-add, as in the AVX2 and
+ * AVX-512F tiles; the default follows the process's tiles.
  */
 Matrix
-gemmOracle(const GemmCase &c)
+gemmOracle(const GemmCase &c, bool fused = cpuHasAvx2Fma())
 {
     std::size_t m = 0, n = 0, kk = 0;
     switch (c.op) {
@@ -106,8 +110,7 @@ gemmOracle(const GemmCase &c)
                     rhs = c.b(j, t);
                     break;
                 }
-                acc = cpuHasAvx2Fma() ? std::fma(lhs, rhs, acc)
-                                      : acc + lhs * rhs;
+                acc = fused ? std::fma(lhs, rhs, acc) : acc + lhs * rhs;
             }
             out(i, j) = acc;
         }
@@ -164,6 +167,56 @@ lhsAt(GemmCase &c, std::size_t i, std::size_t t)
     return c.op == Op::AtB ? c.a(t, i) : c.a(i, t);
 }
 
+/**
+ * Operands of @p c (op and flags already drawn) for an m x n product
+ * over kk: dense, ReLU-sparse or zero-row left factors, and an output
+ * buffer with -0.0 seeds.
+ */
+void
+fillOperands(GemmCase &c, std::size_t m, std::size_t kk, std::size_t n,
+             Rng &rng)
+{
+    // Mix exactly-representable grid values with full-precision
+    // draws: the former make mismatches obvious, the latter catch
+    // any reassociation of the accumulation chain.
+    auto draw = [&rng]() {
+        return rng.bernoulli(0.5) ? double(rng.intIn(-3, 3))
+                                  : rng.normal();
+    };
+    switch (c.op) {
+    case Op::AB:
+        c.a = Matrix(m, kk);
+        c.b = Matrix(kk, n);
+        break;
+    case Op::AtB:
+        c.a = Matrix(kk, m);
+        c.b = Matrix(kk, n);
+        break;
+    case Op::ABt:
+        c.a = Matrix(m, kk);
+        c.b = Matrix(n, kk);
+        break;
+    }
+    c.out = Matrix(m, n);
+    for (Matrix *mat : {&c.a, &c.b, &c.out})
+        for (double &v : mat->raw())
+            v = draw();
+    // Zero-heavy left factors: ReLU-sparse (about half the
+    // entries +0.0 or -0.0) or with all-zero rows. Accumulate
+    // seeds get -0.0 entries; a chain over zero terms must treat
+    // them alike in every kernel.
+    const int texture = rng.intIn(0, 2);
+    for (std::size_t i = 0; i < m; ++i) {
+        const bool zero_row = texture == 2 && rng.bernoulli(0.3);
+        for (std::size_t t = 0; t < kk; ++t)
+            if (zero_row || (texture == 1 && rng.bernoulli(0.5)))
+                lhsAt(c, i, t) = rng.bernoulli(0.5) ? 0.0 : -0.0;
+    }
+    for (double &v : c.out.raw())
+        if (rng.bernoulli(0.2))
+            v = -0.0;
+}
+
 prop::Gen<GemmCase>
 gemmGen()
 {
@@ -192,45 +245,7 @@ gemmGen()
             kk = std::size_t(rng.intIn(1, 20));
             n = std::size_t(rng.intIn(1, 20));
         }
-        // Mix exactly-representable grid values with full-precision
-        // draws: the former make mismatches obvious, the latter catch
-        // any reassociation of the accumulation chain.
-        auto draw = [&rng]() {
-            return rng.bernoulli(0.5) ? double(rng.intIn(-3, 3))
-                                      : rng.normal();
-        };
-        switch (c.op) {
-        case Op::AB:
-            c.a = Matrix(m, kk);
-            c.b = Matrix(kk, n);
-            break;
-        case Op::AtB:
-            c.a = Matrix(kk, m);
-            c.b = Matrix(kk, n);
-            break;
-        case Op::ABt:
-            c.a = Matrix(m, kk);
-            c.b = Matrix(n, kk);
-            break;
-        }
-        c.out = Matrix(m, n);
-        for (Matrix *mat : {&c.a, &c.b, &c.out})
-            for (double &v : mat->raw())
-                v = draw();
-        // Zero-heavy left factors: ReLU-sparse (about half the
-        // entries +0.0 or -0.0) or with all-zero rows. Accumulate
-        // seeds get -0.0 entries; a chain over zero terms must treat
-        // them alike in every kernel.
-        const int texture = rng.intIn(0, 2);
-        for (std::size_t i = 0; i < m; ++i) {
-            const bool zero_row = texture == 2 && rng.bernoulli(0.3);
-            for (std::size_t t = 0; t < kk; ++t)
-                if (zero_row || (texture == 1 && rng.bernoulli(0.5)))
-                    lhsAt(c, i, t) = rng.bernoulli(0.5) ? 0.0 : -0.0;
-        }
-        for (double &v : c.out.raw())
-            if (rng.bernoulli(0.2))
-                v = -0.0;
+        fillOperands(c, m, kk, n, rng);
         return c;
     };
     g.shrink = [](const GemmCase &c) {
@@ -379,4 +394,87 @@ TEST(PropMatrix, AccumulateSeedsChainFromExistingOutput)
                                "accumulate", oracleTol());
         });
     EXPECT_TRUE(r.ok) << r.message;
+}
+
+namespace
+{
+
+/** Every tile set this CPU runs, narrowest first. */
+std::vector<GemmTiles>
+runnableTiles()
+{
+    std::vector<GemmTiles> out = {GemmTiles::Portable};
+    if (cpuHasAvx2Fma())
+        out.push_back(GemmTiles::Avx2);
+    if (cpuHasAvx512f())
+        out.push_back(GemmTiles::Avx512);
+    return out;
+}
+
+/**
+ * @p c on every tile set this CPU runs. Each set meets the oracle
+ * with its own chain step (bit for bit when fused), and, where the
+ * naive kernels share that step, the shipped naive kernels bit for
+ * bit on the plain product.
+ */
+std::optional<std::string>
+checkEveryTileSet(const GemmCase &c)
+{
+    const bool acc = c.into && c.accumulate;
+    for (GemmTiles tiles : runnableTiles()) {
+        const bool fused = tiles != GemmTiles::Portable;
+        const std::string name = gemmTilesName(tiles);
+        // Without accumulate the product overwrites c.out's values.
+        Matrix got = c.out;
+        detail::gemmOnTiles(tiles, c.op, c.a, c.b, got, acc);
+        if (auto f = compareMats(got, gemmOracle(c, fused),
+                                 name + " vs oracle", fused ? 0.0 : 1e-10))
+            return f;
+        if (!acc && fused == cpuHasAvx2Fma())
+            if (auto f = bitIdentical(got, runNaive(c), name + " vs naive"))
+                return f;
+    }
+    return std::nullopt;
+}
+
+} // namespace
+
+TEST(PropMatrix, EveryTileSetMatchesOraclesOnRandomShapes)
+{
+    // The random shapes above (pool fan-out, the 256-column block,
+    // -0.0 seeds, zero-heavy left factors) on every tile set.
+    const auto r = prop::forAll<GemmCase>(
+        prop::Config::fromEnv(0x6E4D4D04, 600), gemmGen(), showGemm,
+        checkEveryTileSet);
+    EXPECT_TRUE(r.ok) << r.message;
+}
+
+TEST(PropMatrix, EveryTileSetCoversColumnTailsAndRowRemainders)
+{
+    // Every output width from 1 to 72 covers tails 1-7 past each
+    // tile width (8, 16, 32, 64); widths past 256 and 320 repeat
+    // them in the second column block. 1-8 rows leave every
+    // remainder 1-4 after whole 4-row blocks, on all three products,
+    // with and without accumulating onto -0.0 seeds.
+    std::vector<std::size_t> widths;
+    for (std::size_t n = 1; n <= 72; ++n)
+        widths.push_back(n);
+    for (std::size_t base : {256, 320})
+        for (std::size_t t = 1; t < 8; ++t)
+            widths.push_back(base + t);
+    Rng rng(0x6E4D4D05);
+    std::size_t cases = 0;
+    for (Op op : {Op::AB, Op::AtB, Op::ABt})
+        for (std::size_t m = 1; m <= 8; ++m)
+            for (std::size_t n : widths) {
+                GemmCase c;
+                c.op = op;
+                c.into = true;
+                c.accumulate = rng.bernoulli(0.5);
+                fillOperands(c, m, std::size_t(rng.intIn(1, 9)), n, rng);
+                if (auto f = checkEveryTileSet(c))
+                    FAIL() << *f << "\n" << showGemm(c);
+                ++cases;
+            }
+    EXPECT_EQ(cases, 3u * 8u * widths.size());
 }

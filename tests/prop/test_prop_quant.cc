@@ -5,6 +5,8 @@
  *
  *  - quantize -> dequantize round-trips within half a quantization
  *    step per weight channel / activation row;
+ *  - the int8 layer's dot products equal a scalar int64 reference
+ *    exactly, at full scale and past one int32 run;
  *  - rankBatch() is bit-reproducible across thread counts 1/2/4/8 and
  *    across cold/warm encoding caches for every surrogate family;
  *  - int8 rankBatch() agrees with fp64 predictBatch() at Kendall
@@ -18,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -257,6 +260,65 @@ TEST(PropQuant, RoundTripWithinHalfStepPerChannel)
                     return msg.str();
                 }
             }
+            return std::nullopt;
+        });
+    EXPECT_TRUE(r.ok) << r.message;
+}
+
+TEST(PropQuant, ForwardQuantizedSumsExactlyAtFullScale)
+{
+    // The int8 layer's dot products against a scalar int64 reference,
+    // bit for bit after the fp64 epilogue. Widths run past one 256-k
+    // int32 run (the paper's 600-wide inputs included) with every
+    // tail 0-15, and one case in four is over 4,000 wide, where eight
+    // int32 lanes summed without widening would overflow at full
+    // scale. Half the cases are at full scale: every weight +127 and
+    // every input of a row +-32767.
+    const auto r = prop::forAll<int>(
+        prop::Config::fromEnv(0xF05ED005, 80), seedGen(),
+        [](int seed) -> std::optional<std::string> {
+            Rng rng(std::uint64_t(seed) + 1);
+            const std::size_t in = rng.bernoulli(0.25)
+                                       ? std::size_t(rng.intIn(4000, 5000))
+                                       : std::size_t(rng.intIn(1, 700));
+            const std::size_t out = std::size_t(rng.intIn(1, 5));
+            const std::size_t n = std::size_t(rng.intIn(1, 4));
+            nn::Linear lin(in, out, rng);
+            const bool full = rng.bernoulli(0.5);
+            if (full)
+                lin.params()[0].valueMut().fill(1.0);
+            const nn::QuantizedLinear ql(lin);
+            std::vector<std::int16_t> xq(n * in);
+            std::vector<double> xs(n);
+            for (std::size_t row = 0; row < n; ++row) {
+                const std::int16_t sign = rng.bernoulli(0.5) ? 1 : -1;
+                for (std::size_t k = 0; k < in; ++k)
+                    xq[row * in + k] =
+                        full ? std::int16_t(sign * 32767)
+                             : std::int16_t(rng.intIn(-32767, 32767));
+                xs[row] = rng.uniform(1e-6, 1e-2);
+            }
+            Matrix got(n, out);
+            ql.forwardQuantized(xq.data(), xs.data(), n, got);
+            for (std::size_t row = 0; row < n; ++row)
+                for (std::size_t j = 0; j < out; ++j) {
+                    std::int64_t acc = 0;
+                    for (std::size_t k = 0; k < in; ++k)
+                        acc += std::int64_t(xq[row * in + k]) *
+                               std::int64_t(ql.weights()[j * in + k]);
+                    const double want =
+                        double(acc) * xs[row] *
+                            double(ql.weightScales()[j]) +
+                        ql.bias()[j];
+                    if (std::memcmp(&want, &got(row, j), sizeof want)) {
+                        std::ostringstream msg;
+                        msg.precision(17);
+                        msg << "in=" << in << " row " << row
+                            << " channel " << j << ": got " << got(row, j)
+                            << ", int64 reference " << want;
+                        return msg.str();
+                    }
+                }
             return std::nullopt;
         });
     EXPECT_TRUE(r.ok) << r.message;

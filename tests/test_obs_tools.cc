@@ -18,8 +18,10 @@
 #include <thread>
 #include <vector>
 
+#include "common/isa.h"
 #include "common/json.h"
 #include "common/ledger.h"
+#include "common/matrix.h"
 #include "common/obs.h"
 #include "common/obsdiff.h"
 
@@ -473,6 +475,12 @@ TEST(ObsMeta, RunMetadataCarriesVitals)
     const json::Value meta = json::parse(obs::runMetaJson());
     EXPECT_NE(meta.stringOr("git_sha", ""), "");
     EXPECT_NE(meta.stringOr("build", ""), "");
+    // Which GEMM tiles produced the run's numbers.
+    EXPECT_EQ(meta.stringOr("gemm_tiles", ""), gemmTilesName(gemmTiles()));
+    EXPECT_EQ(meta.stringOr("gemm_tiles", ""),
+              cpuHasAvx512f()   ? "avx512"
+              : cpuHasAvx2Fma() ? "avx2"
+                                : "portable");
     EXPECT_GT(meta.numberOr("hardware_threads", 0.0), 0.0);
     EXPECT_GT(meta.numberOr("peak_rss_kb", 0.0), 0.0);
     EXPECT_GE(meta.numberOr("user_sec", -1.0), 0.0);
