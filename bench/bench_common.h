@@ -149,9 +149,8 @@ printTrainingConfig(const Budget &b)
     t.addRow({"lr schedule", "cosine annealing"});
     t.addRow({"batch size", std::to_string(b.hwprTrain.batchSize)});
     t.addRow({"optimizer", "AdamW"});
-    t.addRow({"L2 weight decay",
-              AsciiTable::num(b.hwprTrain.weightDecay, 5)});
-    t.addRow({"dropout", AsciiTable::num(b.hwprTrain.dropout, 3)});
+    t.addRow({"L2 weight decay", AsciiTable::num(core::kWeightDecay, 5)});
+    t.addRow({"dropout", AsciiTable::num(core::kDropout, 3)});
     t.addRow({"GCN hidden", std::to_string(b.encoder.gcnHidden)});
     t.addRow({"LSTM hidden", std::to_string(b.encoder.lstmHidden)});
     std::cout << "Training configuration (paper Table II):\n"

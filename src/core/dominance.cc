@@ -11,9 +11,7 @@
 #include "nasbench/dataset_id.h"
 #include "nasbench/space.h"
 #include "nn/loss.h"
-#include "nn/optim.h"
 #include "pareto/pareto.h"
-#include "search/evaluator.h"
 
 namespace hwpr::core
 {
@@ -62,8 +60,7 @@ DominanceSurrogate::DominanceSurrogate(const DominanceConfig &cfg,
 
 void
 DominanceSurrogate::buildModel(
-    const std::vector<nasbench::Architecture> &scaler_fit,
-    double dropout)
+    const std::vector<nasbench::Architecture> &scaler_fit)
 {
     encoder_ = std::make_unique<ArchEncoder>(
         EncodingKind::ALL, cfg_.encoder, dataset_, scaler_fit, rng_);
@@ -71,7 +68,7 @@ DominanceSurrogate::buildModel(
     head_cfg.inDim = encoder_->dim();
     head_cfg.hidden = cfg_.headHidden;
     head_cfg.outDim = 1;
-    head_cfg.dropout = dropout;
+    head_cfg.dropout = kDropout;
     head_ = std::make_unique<nn::Mlp>(head_cfg, rng_, "dominance_head");
     declareModel({encoder_.get()}, {});
 }
@@ -106,33 +103,23 @@ DominanceSurrogate::train(
     for (const auto *rec : val)
         val_archs.push_back(rec->arch);
 
-    buildModel(train_archs, cfg.dropout);
+    buildModel(train_archs);
 
     std::vector<nn::Tensor> params = encoder_->params();
     for (const auto &p : head_->params())
         params.push_back(p);
-    nn::AdamW opt(params, cfg.learningRate, cfg.weightDecay);
 
     const std::size_t n = train_archs.size();
     const std::size_t total_pairs = n * (n - 1);
     const std::size_t pairs_per_epoch =
         std::min(total_pairs, cfg_.maxPairsPerEpoch);
-    const std::size_t steps_per_epoch = std::max<std::size_t>(
-        1, (pairs_per_epoch + cfg.batchSize - 1) / cfg.batchSize);
-    nn::CosineAnnealing schedule(cfg.learningRate,
-                                 cfg.epochs * steps_per_epoch);
 
     // True objective points once per fit; pair labels gather from
     // these (the O(n^2) dominance relation pool).
-    std::vector<pareto::Point> train_pts, val_pts;
-    train_pts.reserve(train.size());
-    for (const auto *rec : train)
-        train_pts.push_back(
-            search::trueObjectives(*rec, platform_, false));
-    val_pts.reserve(val.size());
-    for (const auto *rec : val)
-        val_pts.push_back(
-            search::trueObjectives(*rec, platform_, false));
+    const std::vector<pareto::Point> train_pts =
+        objectivePoints(train, platform_);
+    const std::vector<pareto::Point> val_pts =
+        objectivePoints(val, platform_);
 
     // Validation pairs: a deterministic stride over the lexicographic
     // ordered-pair enumeration, capped at maxValPairs.
@@ -167,8 +154,9 @@ DominanceSurrogate::train(
     };
 
     // Per-epoch pair pool. Below the cap every ordered pair is used
-    // (makeBatches shuffles them); above it pairs are resampled per
-    // epoch, so the full O(n^2) pool is drawn from across epochs.
+    // (the loop's batches shuffle them); above it pairs are resampled
+    // at the start of each epoch, so the full O(n^2) pool is drawn
+    // from across epochs.
     const bool exhaustive = total_pairs <= cfg_.maxPairsPerEpoch;
     std::vector<std::pair<std::size_t, std::size_t>> pairs;
     if (exhaustive) {
@@ -178,11 +166,16 @@ DominanceSurrogate::train(
                 if (i != j)
                     pairs.emplace_back(i, j);
     }
-
-    double best_val = 1e300;
-    std::size_t since_best = 0;
-    std::vector<Matrix> best_params = snapshotParams(params);
-    std::size_t step = 0;
+    auto resample = [&] {
+        pairs.clear();
+        for (std::size_t k = 0; k < pairs_per_epoch; ++k) {
+            const std::size_t i = rng_.index(n);
+            std::size_t j = rng_.index(n - 1);
+            if (j >= i)
+                ++j;
+            pairs.emplace_back(i, j);
+        }
+    };
 
     // Batch-local unique-index map: each pair batch encodes every
     // distinct architecture once and gathers both sides from the
@@ -190,79 +183,49 @@ DominanceSurrogate::train(
     std::vector<std::size_t> slot(n, SIZE_MAX);
     std::vector<std::size_t> uniq, pos_a, pos_b;
     std::vector<double> labels;
+    auto batch_loss = [&](const std::vector<std::size_t> &batch) {
+        uniq.clear();
+        pos_a.clear();
+        pos_b.clear();
+        labels.clear();
+        auto localOf = [&](std::size_t i) {
+            if (slot[i] == SIZE_MAX) {
+                slot[i] = uniq.size();
+                uniq.push_back(i);
+            }
+            return slot[i];
+        };
+        for (std::size_t idx : batch) {
+            const auto &[i, j] = pairs[idx];
+            pos_a.push_back(localOf(i));
+            pos_b.push_back(localOf(j));
+            labels.push_back(
+                dominanceLabel(train_pts[i], train_pts[j]) ? 1.0 : 0.0);
+        }
+        for (std::size_t i : uniq)
+            slot[i] = SIZE_MAX;
+        return nn::bceWithLogitsLoss(
+            pairLogits(encoder_->encodeCached(cache, uniq), pos_a, pos_b,
+                       true),
+            labels);
+    };
 
-    static obs::Histogram &epoch_hist =
-        obs::Registry::global().histogram("dominance.fit.epoch_us");
-    static obs::Counter &early_stops =
-        obs::Registry::global().counter("dominance.fit.early_stop");
-    for (std::size_t epoch = 0; epoch < cfg.epochs; ++epoch) {
-        HWPR_SPAN("dominance.fit.epoch", {{"epoch", double(epoch)}});
-        obs::ScopedTimer epoch_timer(epoch_hist);
-        if (!exhaustive) {
-            pairs.clear();
-            for (std::size_t k = 0; k < pairs_per_epoch; ++k) {
-                const std::size_t i = rng_.index(n);
-                std::size_t j = rng_.index(n - 1);
-                if (j >= i)
-                    ++j;
-                pairs.emplace_back(i, j);
-            }
-        }
-        for (const auto &batch :
-             makeBatches(pairs.size(), cfg.batchSize, rng_)) {
-            uniq.clear();
-            pos_a.clear();
-            pos_b.clear();
-            labels.clear();
-            auto localOf = [&](std::size_t i) {
-                if (slot[i] == SIZE_MAX) {
-                    slot[i] = uniq.size();
-                    uniq.push_back(i);
-                }
-                return slot[i];
-            };
-            for (std::size_t idx : batch) {
-                const auto &[i, j] = pairs[idx];
-                pos_a.push_back(localOf(i));
-                pos_b.push_back(localOf(j));
-                labels.push_back(
-                    dominanceLabel(train_pts[i], train_pts[j]) ? 1.0
-                                                               : 0.0);
-            }
-            if (cfg.cosineAnnealing)
-                opt.setLearningRate(schedule.at(step));
-            ++step;
-            opt.zeroGrad();
-            nn::Tensor loss = nn::bceWithLogitsLoss(
-                pairLogits(encoder_->encodeCached(cache, uniq), pos_a,
-                           pos_b, true),
-                labels);
-            nn::backward(loss);
-            opt.step();
-            for (std::size_t i : uniq)
-                slot[i] = SIZE_MAX;
-        }
-        const nn::Tensor vtab = encoder_->encodeCached(val_cache, val_all);
-        const double vloss =
-            nn::bceWithLogitsLoss(
-                pairLogits(vtab, val_pos_a, val_pos_b, false),
-                val_labels)
-                .value()(0, 0);
-        if (obs::metricsEnabled())
-            obs::Registry::global()
-                .gauge("dominance.fit.val_loss")
-                .set(vloss);
-        if (vloss < best_val - 1e-9) {
-            best_val = vloss;
-            since_best = 0;
-            best_params = snapshotParams(params);
-        } else if (++since_best >= cfg.patience) {
-            if (obs::metricsEnabled())
-                early_stops.add();
-            break;
-        }
-    }
-    restoreParams(params, best_params);
+    static const FitNames kNames = {
+        "dominance.fit.epoch", "dominance.fit.epoch_us",
+        "dominance.fit.val_loss", "dominance.fit.early_stop"};
+    FitLoop(params, pairs_per_epoch, cfg.learningRate, cfg.batchSize,
+            rng_)
+        .fit(
+            kNames, cfg.epochs, cfg.patience, batch_loss,
+            [&] {
+                return nn::bceWithLogitsLoss(
+                           pairLogits(encoder_->encodeCached(val_cache,
+                                                             val_all),
+                                      val_pos_a, val_pos_b, false),
+                           val_labels)
+                    .value()(0, 0);
+            },
+            exhaustive ? std::function<void()>() : resample);
 
     // Freeze the scalar-score anchors: an evenly strided subset of
     // the training set, encoded with the restored (best) weights.
@@ -437,8 +400,7 @@ DominanceSurrogate::load(const std::string &path)
     auto model = std::make_unique<DominanceSurrogate>(cfg, dataset, 0);
     model->platform_ = platform;
     Rng dummy_rng(0);
-    model->buildModel({nasbench::nasBench201().sample(dummy_rng)},
-                      0.0);
+    model->buildModel({nasbench::nasBench201().sample(dummy_rng)});
     if (!model->encoder_->setScaler(std::move(scaler)))
         return nullptr;
 

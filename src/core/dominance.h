@@ -158,8 +158,7 @@ class DominanceSurrogate : public Surrogate
 
   private:
     void buildModel(
-        const std::vector<nasbench::Architecture> &scaler_fit,
-        double dropout);
+        const std::vector<nasbench::Architecture> &scaler_fit);
 
     /** Re-encode the anchors with the current (final) weights. */
     void refreshReferenceEncodings();

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <fstream>
+#include <functional>
+#include <numeric>
 #include <sstream>
 #include <utility>
 
@@ -10,9 +12,6 @@
 #include "common/serialize.h"
 #include "nasbench/dataset_id.h"
 #include "nn/loss.h"
-#include "nn/optim.h"
-#include "pareto/pareto.h"
-#include "search/evaluator.h"
 
 namespace hwpr::core
 {
@@ -31,8 +30,7 @@ HwPrNas::headIndex(hw::PlatformId platform) const
 
 void
 HwPrNas::buildModel(
-    const std::vector<nasbench::Architecture> &scaler_fit,
-    double dropout)
+    const std::vector<nasbench::Architecture> &scaler_fit)
 {
     // Branch encodings follow the ablation winners: GCN(+AF) for
     // accuracy, LSTM(+AF) for latency.
@@ -48,14 +46,14 @@ HwPrNas::buildModel(
     acc_mlp.inDim = accEncoder_->dim();
     acc_mlp.hidden = cfg_.headHidden;
     acc_mlp.outDim = 1;
-    acc_mlp.dropout = dropout;
+    acc_mlp.dropout = kDropout;
     accHead_ = std::make_unique<nn::Mlp>(acc_mlp, rng_, "acc_head");
 
     nn::MlpConfig lat_mlp;
     lat_mlp.inDim = latEncoder_->dim();
     lat_mlp.hidden = cfg_.headHidden;
     lat_mlp.outDim = 1;
-    lat_mlp.dropout = dropout;
+    lat_mlp.dropout = kDropout;
     latHeads_.clear();
     const std::size_t num_heads =
         cfg_.sharedLatencyHead ? 1 : hw::kNumPlatforms;
@@ -80,245 +78,30 @@ HwPrNas::buildModel(
                  std::move(heads));
 }
 
-HwPrNas::Forward
-HwPrNas::forward(const EncoderCache &acc_cache,
-                 const EncoderCache &lat_cache,
-                 const std::vector<std::size_t> &batch, std::size_t head,
-                 bool training, Rng &rng) const
-{
-    Forward out;
-    const nn::Tensor acc_enc =
-        accEncoder_->encodeCached(acc_cache, batch);
-    out.accPred = accHead_->forward(acc_enc, training, rng);
-    const nn::Tensor lat_enc =
-        latEncoder_->encodeCached(lat_cache, batch);
-    out.latPred = latHeads_[head]->forward(lat_enc, training, rng);
-    out.score = combiner_->forward(
-        nn::concatCols(out.accPred, out.latPred), training, rng);
-    return out;
-}
-
-HwPrNas::FitCaches
-HwPrNas::buildFitCaches(
-    const std::vector<nasbench::Architecture> &train_archs,
-    const std::vector<nasbench::Architecture> &val_archs) const
-{
-    HWPR_SPAN("hwprnas.fit.prep",
-              {{"train_size", double(train_archs.size())},
-               {"val_size", double(val_archs.size())}});
-    static obs::Histogram &prep_hist =
-        obs::Registry::global().histogram("hwprnas.fit.prep_us");
-    obs::ScopedTimer prep_timer(prep_hist);
-    return {accEncoder_->buildCache(train_archs),
-            latEncoder_->buildCache(train_archs),
-            accEncoder_->buildCache(val_archs),
-            latEncoder_->buildCache(val_archs)};
-}
-
 void
 HwPrNas::train(const std::vector<const nasbench::ArchRecord *> &train,
                const std::vector<const nasbench::ArchRecord *> &val,
                hw::PlatformId platform, const TrainConfig &cfg)
 {
-    HWPR_CHECK(!train.empty() && !val.empty(),
-               "HW-PR-NAS training needs train and validation data");
-    HWPR_SPAN("hwprnas.fit", {{"train_size", double(train.size())},
-                              {"val_size", double(val.size())},
-                              {"epochs", double(cfg.epochs)}});
-    platform_ = platform;
-    const std::size_t pidx = hw::platformIndex(platform);
-
-    // Targets: accuracy (%) and log-latency, both standardized.
-    std::vector<nasbench::Architecture> train_archs, val_archs;
-    std::vector<double> train_acc, train_lat, val_acc, val_lat;
-    for (const auto *rec : train) {
-        train_archs.push_back(rec->arch);
-        train_acc.push_back(rec->accuracy);
-        train_lat.push_back(std::log(rec->latencyMs[pidx]));
-    }
-    for (const auto *rec : val) {
-        val_archs.push_back(rec->arch);
-        val_acc.push_back(rec->accuracy);
-        val_lat.push_back(std::log(rec->latencyMs[pidx]));
-    }
-    accScaler_ = TargetScaler::fit(train_acc);
-    TargetScaler &lat_scaler = latScalers_[headIndex(platform)];
-    lat_scaler = TargetScaler::fit(train_lat);
-    const auto train_accn = accScaler_.normAll(train_acc);
-    const auto train_latn = lat_scaler.normAll(train_lat);
-    const auto val_accn = accScaler_.normAll(val_acc);
-    const auto val_latn = lat_scaler.normAll(val_lat);
-
-    buildModel(train_archs, cfg.dropout);
-
-    const std::size_t head = headIndex(platform);
-
-    // Only the active latency head is optimized: AdamW's decoupled
-    // decay would otherwise shrink untrained heads.
-    std::vector<nn::Tensor> params = accEncoder_->params();
-    for (const auto &p : latEncoder_->params())
-        params.push_back(p);
-    for (const auto &p : accHead_->params())
-        params.push_back(p);
-    for (const auto &p : latHeads_[head]->params())
-        params.push_back(p);
-    for (const auto &p : combiner_->params())
-        params.push_back(p);
-    nn::AdamW opt(params, cfg.learningRate, cfg.weightDecay);
-
-    const std::size_t steps_per_epoch = std::max<std::size_t>(
-        1, (train_archs.size() + cfg.batchSize - 1) / cfg.batchSize);
-    nn::CosineAnnealing schedule(cfg.learningRate,
-                                 cfg.epochs * steps_per_epoch);
-
-    // Pareto-rank labelling: the true objective points are a pure
-    // function of the records, so compute them once per fit instead
-    // of re-deriving them for every batch of every epoch.
-    auto points_of =
-        [&](const std::vector<const nasbench::ArchRecord *> &recs) {
-            std::vector<pareto::Point> pts;
-            pts.reserve(recs.size());
-            for (const auto *rec : recs)
-                pts.push_back(
-                    search::trueObjectives(*rec, platform_));
-            return pts;
-        };
-    const std::vector<pareto::Point> train_pts = points_of(train);
-    const std::vector<pareto::Point> val_pts = points_of(val);
-
-    auto batch_ranks = [](const std::vector<std::size_t> &batch,
-                          const std::vector<pareto::Point> &pts) {
-        std::vector<pareto::Point> sub;
-        sub.reserve(batch.size());
-        for (std::size_t idx : batch)
-            sub.push_back(pts[idx]);
-        return pareto::paretoRanks(sub);
-    };
-
-    auto joint_loss = [&](const Forward &f,
-                          const std::vector<int> &ranks,
-                          const std::vector<double> &acc_t,
-                          const std::vector<double> &lat_t) {
-        nn::Tensor aux = nn::add(nn::mseLoss(f.accPred, acc_t),
-                                 nn::mseLoss(f.latPred, lat_t));
-        if (!cfg.listwiseLoss)
-            return aux;
-        nn::Tensor listwise =
-            nn::listMleParetoLoss(f.score, ranks);
-        return nn::add(listwise, nn::scale(aux, cfg_.rmseWeight));
-    };
-
-    // Validation list: global Pareto ranks over the whole val set.
-    std::vector<std::size_t> val_all(val_archs.size());
-    for (std::size_t i = 0; i < val_all.size(); ++i)
-        val_all[i] = i;
-    const std::vector<int> val_ranks = batch_ranks(val_all, val_pts);
-
-    const FitCaches caches = buildFitCaches(train_archs, val_archs);
-    auto train_forward = [&](const std::vector<std::size_t> &batch,
-                             bool training) {
-        return forward(caches.accTrain, caches.latTrain, batch, head,
-                       training, rng_);
-    };
-
-    double best_val = 1e300;
-    std::size_t since_best = 0;
-    std::vector<Matrix> best_params = snapshotParams(params);
-    std::size_t step = 0;
-    valLossHistory_.clear();
-
-    // Observability: per-epoch spans/timers and loss gauges only read
-    // the clock and already-computed values — nothing here touches
-    // rng_ or alters iteration order.
-    static obs::Histogram &epoch_hist =
-        obs::Registry::global().histogram("hwprnas.fit.epoch_us");
-    static obs::Counter &early_stops =
-        obs::Registry::global().counter("hwprnas.fit.early_stop");
-
-    for (std::size_t epoch = 0; epoch < cfg.epochs; ++epoch) {
-        HWPR_SPAN("hwprnas.fit.epoch", {{"epoch", double(epoch)}});
-        obs::ScopedTimer epoch_timer(epoch_hist);
-        double last_batch_loss = 0.0;
-        for (const auto &batch :
-             makeBatches(train_archs.size(), cfg.batchSize, rng_)) {
-            std::vector<double> acc_t, lat_t;
-            acc_t.reserve(batch.size());
-            lat_t.reserve(batch.size());
-            for (std::size_t idx : batch) {
-                acc_t.push_back(train_accn[idx]);
-                lat_t.push_back(train_latn[idx]);
-            }
-            const std::vector<int> ranks =
-                batch_ranks(batch, train_pts);
-            if (cfg.cosineAnnealing)
-                opt.setLearningRate(schedule.at(step));
-            ++step;
-            opt.zeroGrad();
-            const Forward f = train_forward(batch, true);
-            nn::Tensor loss = joint_loss(f, ranks, acc_t, lat_t);
-            nn::backward(loss);
-            opt.step();
-            if (obs::metricsEnabled())
-                last_batch_loss = loss.value()(0, 0);
-        }
-
-        const Forward vf = forward(caches.accVal, caches.latVal,
-                                   val_all, head, false, rng_);
-        const double vloss =
-            joint_loss(vf, val_ranks, val_accn, val_latn)
-                .value()(0, 0);
-        valLossHistory_.push_back(vloss);
-        if (obs::metricsEnabled()) {
-            obs::Registry::global()
-                .gauge("hwprnas.fit.train_loss")
-                .set(last_batch_loss);
-            obs::Registry::global()
-                .gauge("hwprnas.fit.val_loss")
-                .set(vloss);
-        }
-        if (vloss < best_val - 1e-9) {
-            best_val = vloss;
-            since_best = 0;
-            best_params = snapshotParams(params);
-        } else if (++since_best >= cfg.patience) {
-            if (obs::metricsEnabled())
-                early_stops.add();
-            break;
-        }
-    }
-    restoreParams(params, best_params);
-
-    // Final combiner-only fine-tuning on the listwise loss.
-    if (cfg.listwiseLoss && cfg.combinerEpochs > 0) {
-        HWPR_SPAN("hwprnas.fit.combiner",
-                  {{"epochs", double(cfg.combinerEpochs)}});
-        nn::AdamW comb_opt(combiner_->params(), cfg.learningRate,
-                           cfg.weightDecay);
-        for (std::size_t epoch = 0; epoch < cfg.combinerEpochs;
-             ++epoch) {
-            for (const auto &batch : makeBatches(
-                     train_archs.size(), cfg.batchSize, rng_)) {
-                const std::vector<int> ranks =
-                    batch_ranks(batch, train_pts);
-                comb_opt.zeroGrad();
-                // The frozen branch outputs enter the combiner as a
-                // constant, so backward stops at the combiner.
-                const Forward f = train_forward(batch, false);
-                const nn::Tensor score = combiner_->forward(
-                    nn::Tensor::constant(
-                        Matrix::hconcat(f.accPred.value(),
-                                        f.latPred.value()),
-                        "frozen_branches"),
-                    false, rng_);
-                nn::Tensor loss = nn::listMleParetoLoss(score, ranks);
-                nn::backward(loss);
-                comb_opt.step();
-            }
-        }
-    }
-    invalidateRank();
-    trained_ = true;
+    trainMultiPlatform(train, val, {platform}, cfg);
 }
+
+namespace
+{
+
+/** term(0) + ... + term(count - 1), scaled once by 1 / count (an
+ *  exact x1 in value and gradient when count is 1). */
+nn::Tensor
+meanLoss(std::size_t count,
+         const std::function<nn::Tensor(std::size_t)> &term)
+{
+    nn::Tensor total = term(0);
+    for (std::size_t i = 1; i < count; ++i)
+        total = nn::add(total, term(i));
+    return nn::scale(total, 1.0 / double(count));
+}
+
+} // namespace
 
 void
 HwPrNas::trainMultiPlatform(
@@ -328,200 +111,173 @@ HwPrNas::trainMultiPlatform(
     const TrainConfig &cfg)
 {
     HWPR_CHECK(!train.empty() && !val.empty(),
-               "multi-platform training needs train and val data");
+               "HW-PR-NAS training needs train and validation data");
     HWPR_SPAN("hwprnas.fit",
               {{"train_size", double(train.size())},
                {"val_size", double(val.size())},
                {"epochs", double(cfg.epochs)},
                {"platforms", double(platforms.size())}});
     HWPR_CHECK(!platforms.empty(), "no platforms given");
-    HWPR_CHECK(!cfg_.sharedLatencyHead,
+    for (std::size_t p = 1; p < platforms.size(); ++p)
+        for (std::size_t q = 0; q < p; ++q)
+            HWPR_CHECK(platforms[p] != platforms[q], "platform ",
+                       hw::platformName(platforms[p]),
+                       " is listed twice");
+    HWPR_CHECK(platforms.size() == 1 || !cfg_.sharedLatencyHead,
                "multi-platform training requires per-platform heads");
     platform_ = platforms.front();
+    const std::size_t np = platforms.size();
+    std::vector<std::size_t> heads;
+    for (hw::PlatformId platform : platforms)
+        heads.push_back(headIndex(platform));
 
-    std::vector<nasbench::Architecture> train_archs, val_archs;
-    std::vector<double> train_acc, val_acc;
-    for (const auto *rec : train) {
-        train_archs.push_back(rec->arch);
-        train_acc.push_back(rec->accuracy);
+    // One record set's standardized targets (accuracy % and
+    // per-platform log-latency), per-platform true objective points
+    // (the Pareto ranks come from them; a pure function of the
+    // records, so computed once per fit) and deterministic encoder
+    // inputs of both trunks.
+    struct FitSet
+    {
+        std::vector<nasbench::Architecture> archs;
+        std::vector<double> acc;
+        std::vector<std::vector<double>> lat;
+        std::vector<std::vector<pareto::Point>> points;
+        EncoderCache accCache, latCache;
+    };
+    auto fit_set =
+        [&](const std::vector<const nasbench::ArchRecord *> &recs) {
+            FitSet s;
+            for (const auto *rec : recs) {
+                s.archs.push_back(rec->arch);
+                s.acc.push_back(rec->accuracy);
+            }
+            for (hw::PlatformId platform : platforms) {
+                std::vector<double> lat;
+                for (const auto *rec : recs)
+                    lat.push_back(std::log(
+                        rec->latencyMs[hw::platformIndex(platform)]));
+                s.lat.push_back(std::move(lat));
+                s.points.push_back(objectivePoints(recs, platform));
+            }
+            return s;
+        };
+    FitSet tr = fit_set(train);
+    FitSet va = fit_set(val);
+    accScaler_ = TargetScaler::fit(tr.acc);
+    tr.acc = accScaler_.normAll(tr.acc);
+    va.acc = accScaler_.normAll(va.acc);
+    for (std::size_t p = 0; p < np; ++p) {
+        TargetScaler &scaler = latScalers_[heads[p]];
+        scaler = TargetScaler::fit(tr.lat[p]);
+        tr.lat[p] = scaler.normAll(tr.lat[p]);
+        va.lat[p] = scaler.normAll(va.lat[p]);
     }
-    for (const auto *rec : val) {
-        val_archs.push_back(rec->arch);
-        val_acc.push_back(rec->accuracy);
-    }
-    accScaler_ = TargetScaler::fit(train_acc);
-    const auto train_accn = accScaler_.normAll(train_acc);
-    const auto val_accn = accScaler_.normAll(val_acc);
 
-    // Per-platform standardized log-latency targets.
-    std::vector<std::vector<double>> train_latn(platforms.size());
-    std::vector<std::vector<double>> val_latn(platforms.size());
-    for (std::size_t pi = 0; pi < platforms.size(); ++pi) {
-        const std::size_t pidx = hw::platformIndex(platforms[pi]);
-        std::vector<double> t, v;
-        for (const auto *rec : train)
-            t.push_back(std::log(rec->latencyMs[pidx]));
-        for (const auto *rec : val)
-            v.push_back(std::log(rec->latencyMs[pidx]));
-        TargetScaler &scaler = latScalers_[pidx];
-        scaler = TargetScaler::fit(t);
-        train_latn[pi] = scaler.normAll(t);
-        val_latn[pi] = scaler.normAll(v);
+    buildModel(tr.archs);
+    {
+        HWPR_SPAN("hwprnas.fit.prep",
+                  {{"train_size", double(train.size())},
+                   {"val_size", double(val.size())}});
+        static obs::Histogram &prep_hist =
+            obs::Registry::global().histogram("hwprnas.fit.prep_us");
+        obs::ScopedTimer prep_timer(prep_hist);
+        for (FitSet *s : {&tr, &va}) {
+            s->accCache = accEncoder_->buildCache(s->archs);
+            s->latCache = latEncoder_->buildCache(s->archs);
+        }
     }
 
-    buildModel(train_archs, cfg.dropout);
-
+    // Only the listed latency heads are optimized: AdamW's decoupled
+    // decay would otherwise shrink untrained heads.
     std::vector<nn::Tensor> params = accEncoder_->params();
     for (const auto &p : latEncoder_->params())
         params.push_back(p);
     for (const auto &p : accHead_->params())
         params.push_back(p);
-    for (hw::PlatformId platform : platforms)
-        for (const auto &p :
-             latHeads_[hw::platformIndex(platform)]->params())
+    for (std::size_t h : heads)
+        for (const auto &p : latHeads_[h]->params())
             params.push_back(p);
     for (const auto &p : combiner_->params())
         params.push_back(p);
-    nn::AdamW opt(params, cfg.learningRate, cfg.weightDecay);
 
-    const std::size_t steps_per_epoch = std::max<std::size_t>(
-        1, (train_archs.size() + cfg.batchSize - 1) / cfg.batchSize);
-    nn::CosineAnnealing schedule(cfg.learningRate,
-                                 cfg.epochs * steps_per_epoch);
-
-    // Per-platform true objective points, once per fit (the points
-    // are a pure function of the records).
-    auto points_for =
-        [&](const std::vector<const nasbench::ArchRecord *> &recs) {
-            std::vector<std::vector<pareto::Point>> pts(
-                platforms.size());
-            for (std::size_t pi = 0; pi < platforms.size(); ++pi) {
-                pts[pi].reserve(recs.size());
-                for (const auto *rec : recs)
-                    pts[pi].push_back(search::trueObjectives(
-                        *rec, platforms[pi]));
-            }
-            return pts;
-        };
-    const auto train_pts = points_for(train);
-    const auto val_pts = points_for(val);
-
-    auto ranks_for = [](const std::vector<std::size_t> &batch,
-                        const std::vector<pareto::Point> &pts) {
-        std::vector<pareto::Point> sub;
-        sub.reserve(batch.size());
-        for (std::size_t idx : batch)
-            sub.push_back(pts[idx]);
-        return pareto::paretoRanks(sub);
+    // The one loss of batches and validation: per platform, listwise +
+    // rmseWeight x (accuracy MSE + that platform's latency MSE), or
+    // the MSE sum alone without the listwise loss; averaged over the
+    // platforms. Heads draw their dropout masks in head order.
+    auto joint_loss = [&](const FitSet &s,
+                          const std::vector<std::size_t> &rows,
+                          bool training) {
+        const nn::Tensor acc_pred = accHead_->forward(
+            accEncoder_->encodeCached(s.accCache, rows), training, rng_);
+        const nn::Tensor lat_enc =
+            latEncoder_->encodeCached(s.latCache, rows);
+        const nn::Tensor acc_mse =
+            nn::mseLoss(acc_pred, gather(s.acc, rows));
+        return meanLoss(np, [&](std::size_t p) {
+            const nn::Tensor lat_pred =
+                latHeads_[heads[p]]->forward(lat_enc, training, rng_);
+            const nn::Tensor aux = nn::add(
+                acc_mse, nn::mseLoss(lat_pred, gather(s.lat[p], rows)));
+            if (!cfg.listwiseLoss)
+                return aux;
+            const nn::Tensor score = combiner_->forward(
+                nn::concatCols(acc_pred, lat_pred), training, rng_);
+            return nn::add(
+                nn::listMleParetoLoss(score, batchRanks(s.points[p], rows)),
+                nn::scale(aux, cfg_.rmseWeight));
+        });
     };
 
-    // Joint loss over all platforms: the shared encoders/acc branch
-    // see the sum of every platform's listwise + RMSE terms. Encoding
-    // happens in the caller; the encoders consume no RNG, so the
-    // dropout draw order is unchanged.
-    auto joint_loss =
-        [&](const nn::Tensor &acc_enc, const nn::Tensor &lat_enc,
-            const std::vector<std::size_t> &batch,
-            const std::vector<std::vector<pareto::Point>> &pts,
-            const std::vector<double> &acc_t,
-            const std::vector<std::vector<double>> &lat_t,
-            bool training) {
-            const nn::Tensor acc_pred =
-                accHead_->forward(acc_enc, training, rng_);
+    // Validation ranks are global Pareto ranks over the whole set.
+    std::vector<std::size_t> val_all(va.archs.size());
+    std::iota(val_all.begin(), val_all.end(), 0);
+    static const FitNames kNames = {
+        "hwprnas.fit.epoch", "hwprnas.fit.epoch_us",
+        "hwprnas.fit.val_loss", "hwprnas.fit.early_stop",
+        "hwprnas.fit.train_loss"};
+    valLossHistory_ =
+        FitLoop(params, tr.archs.size(), cfg.learningRate,
+                cfg.batchSize, rng_)
+            .fit(
+                kNames, cfg.epochs, cfg.patience,
+                [&](const std::vector<std::size_t> &batch) {
+                    return joint_loss(tr, batch, true);
+                },
+                [&] {
+                    return joint_loss(va, val_all, false).value()(0, 0);
+                });
 
-            nn::Tensor total = nn::scale(
-                nn::mseLoss(acc_pred, acc_t), cfg_.rmseWeight);
-            const double inv_p = 1.0 / double(platforms.size());
-            for (std::size_t pi = 0; pi < platforms.size(); ++pi) {
-                const std::size_t pidx =
-                    hw::platformIndex(platforms[pi]);
-                const nn::Tensor lat_pred =
-                    latHeads_[pidx]->forward(lat_enc, training,
-                                             rng_);
-                total = nn::add(
-                    total, nn::scale(nn::mseLoss(lat_pred, lat_t[pi]),
-                                     cfg_.rmseWeight * inv_p));
-                if (cfg.listwiseLoss) {
-                    const nn::Tensor score = combiner_->forward(
-                        nn::concatCols(acc_pred, lat_pred), training,
-                        rng_);
-                    total = nn::add(
-                        total,
-                        nn::scale(nn::listMleParetoLoss(
-                                      score,
-                                      ranks_for(batch, pts[pi])),
-                                  inv_p));
-                }
-            }
-            return total;
+    // Final combiner-only fine-tuning on the mean listwise loss. The
+    // frozen branch outputs enter the combiner as a constant, so
+    // backward stops at the combiner.
+    if (cfg.listwiseLoss && cfg.combinerEpochs > 0) {
+        HWPR_SPAN("hwprnas.fit.combiner",
+                  {{"epochs", double(cfg.combinerEpochs)}});
+        FitLoop fine_tune(combiner_->params(), tr.archs.size(),
+                          cfg.learningRate, cfg.batchSize, rng_);
+        auto combiner_loss = [&](const std::vector<std::size_t> &batch) {
+            const Matrix acc =
+                accHead_
+                    ->forward(accEncoder_->encodeCached(tr.accCache, batch),
+                              false, rng_)
+                    .value();
+            const nn::Tensor lat_enc =
+                latEncoder_->encodeCached(tr.latCache, batch);
+            return meanLoss(np, [&](std::size_t p) {
+                const Matrix lat =
+                    latHeads_[heads[p]]->forward(lat_enc, false, rng_)
+                        .value();
+                const nn::Tensor score = combiner_->forward(
+                    nn::Tensor::constant(Matrix::hconcat(acc, lat),
+                                         "frozen_branches"),
+                    false, rng_);
+                return nn::listMleParetoLoss(
+                    score, batchRanks(tr.points[p], batch));
+            });
         };
-
-    std::vector<std::size_t> val_all(val_archs.size());
-    for (std::size_t i = 0; i < val_all.size(); ++i)
-        val_all[i] = i;
-
-    const FitCaches caches = buildFitCaches(train_archs, val_archs);
-
-    double best_val = 1e300;
-    std::size_t since_best = 0;
-    std::vector<Matrix> best_params = snapshotParams(params);
-    std::size_t step = 0;
-    valLossHistory_.clear();
-    static obs::Histogram &epoch_hist =
-        obs::Registry::global().histogram("hwprnas.fit.epoch_us");
-    static obs::Counter &early_stops =
-        obs::Registry::global().counter("hwprnas.fit.early_stop");
-    for (std::size_t epoch = 0; epoch < cfg.epochs; ++epoch) {
-        HWPR_SPAN("hwprnas.fit.epoch", {{"epoch", double(epoch)}});
-        obs::ScopedTimer epoch_timer(epoch_hist);
-        double last_batch_loss = 0.0;
-        for (const auto &batch :
-             makeBatches(train_archs.size(), cfg.batchSize, rng_)) {
-            std::vector<double> acc_t;
-            std::vector<std::vector<double>> lat_t(platforms.size());
-            for (std::size_t idx : batch) {
-                acc_t.push_back(train_accn[idx]);
-                for (std::size_t pi = 0; pi < platforms.size(); ++pi)
-                    lat_t[pi].push_back(train_latn[pi][idx]);
-            }
-            if (cfg.cosineAnnealing)
-                opt.setLearningRate(schedule.at(step));
-            ++step;
-            opt.zeroGrad();
-            nn::Tensor loss = joint_loss(
-                accEncoder_->encodeCached(caches.accTrain, batch),
-                latEncoder_->encodeCached(caches.latTrain, batch),
-                batch, train_pts, acc_t, lat_t, true);
-            nn::backward(loss);
-            opt.step();
-            if (obs::metricsEnabled())
-                last_batch_loss = loss.value()(0, 0);
-        }
-        const double vloss =
-            joint_loss(accEncoder_->encodeCached(caches.accVal, val_all),
-                       latEncoder_->encodeCached(caches.latVal, val_all),
-                       val_all, val_pts, val_accn, val_latn, false)
-                .value()(0, 0);
-        valLossHistory_.push_back(vloss);
-        if (obs::metricsEnabled()) {
-            obs::Registry::global()
-                .gauge("hwprnas.fit.train_loss")
-                .set(last_batch_loss);
-            obs::Registry::global()
-                .gauge("hwprnas.fit.val_loss")
-                .set(vloss);
-        }
-        if (vloss < best_val - 1e-9) {
-            best_val = vloss;
-            since_best = 0;
-            best_params = snapshotParams(params);
-        } else if (++since_best >= cfg.patience) {
-            if (obs::metricsEnabled())
-                early_stops.add();
-            break;
-        }
+        for (std::size_t e = 0; e < cfg.combinerEpochs; ++e)
+            fine_tune.epoch(combiner_loss);
     }
-    restoreParams(params, best_params);
     invalidateRank();
     trained_ = true;
 }
@@ -704,8 +460,7 @@ HwPrNas::load(const std::string &path)
     // Build the skeleton (the temporary scaler fitted on one dummy
     // architecture is replaced by the loaded one).
     Rng dummy_rng(0);
-    model->buildModel({nasbench::nasBench201().sample(dummy_rng)},
-                      0.0);
+    model->buildModel({nasbench::nasBench201().sample(dummy_rng)});
     if (!model->accEncoder_->setScaler(std::move(acc_scaler)) ||
         !model->latEncoder_->setScaler(std::move(lat_scaler)) ||
         !readParams(r, model->params()))

@@ -59,7 +59,11 @@ struct HwPrNasConfig
     bool sharedLatencyHead = false;
 };
 
-/** Training hyperparameters — paper Table II defaults. */
+/**
+ * Training hyperparameters — paper Table II defaults. The schedule
+ * (cosine annealing), weight decay and dropout are Table II constants
+ * (see train_util.h).
+ */
 struct TrainConfig
 {
     std::size_t epochs = 80;
@@ -67,10 +71,7 @@ struct TrainConfig
      *  around epoch 30 with the same mechanism). */
     std::size_t patience = 8;
     double learningRate = 3e-4;      ///< Table II: 0.0003
-    bool cosineAnnealing = true;     ///< Table II schedule
     std::size_t batchSize = 128;     ///< Table II
-    double weightDecay = 3e-4;       ///< Table II (AdamW, L2 0.0003)
-    double dropout = 0.02;           ///< Table II
     /** Final combiner-only fine-tuning epochs. */
     std::size_t combinerEpochs = 5;
     /** Disable the listwise loss (RMSE-only ablation, footnote 2). */
@@ -108,9 +109,10 @@ class HwPrNas : public Surrogate
     // ---------------------------------------------------------------
 
     /**
-     * Train on oracle records for one target platform. Records carry
-     * true accuracy and per-platform latency; Pareto ranks are
-     * computed per batch (Sec. III-A).
+     * Train on oracle records for one target platform: the
+     * one-platform case of trainMultiPlatform(). Records carry true
+     * accuracy and per-platform latency; Pareto ranks are computed per
+     * batch (Sec. III-A).
      */
     void train(const std::vector<const nasbench::ArchRecord *> &train,
                const std::vector<const nasbench::ArchRecord *> &val,
@@ -119,11 +121,12 @@ class HwPrNas : public Surrogate
     /**
      * Joint multi-platform training (Sec. III-E): one shared
      * accuracy branch and encoder, one latency head per listed
-     * platform, trained simultaneously — the listwise loss is
-     * averaged over the platforms' Pareto rankings and every head
-     * receives its RMSE auxiliary. After this call, predictBatch()
-     * scores against the first platform; setActivePlatform()
-     * retargets it to any trained one.
+     * platform, trained simultaneously on the mean over platforms of
+     * train()'s loss (listwise + rmseWeight x (accuracy MSE + that
+     * platform's latency MSE)); the combiner-only phase uses the mean
+     * of the platforms' listwise losses. Platforms must be distinct.
+     * After this call, predictBatch() scores against the first
+     * platform; setActivePlatform() retargets it to any trained one.
      */
     void trainMultiPlatform(
         const std::vector<const nasbench::ArchRecord *> &train,
@@ -195,36 +198,6 @@ class HwPrNas : public Surrogate
     void chunk(const ChunkPass &pass, Matrix &out) const override;
 
   private:
-    struct Forward
-    {
-        nn::Tensor accPred;
-        nn::Tensor latPred;
-        nn::Tensor score;
-    };
-
-    /**
-     * Deterministic encoder inputs of both trunks, computed once per
-     * fit (the encoder passes themselves run every step).
-     */
-    struct FitCaches
-    {
-        EncoderCache accTrain;
-        EncoderCache latTrain;
-        EncoderCache accVal;
-        EncoderCache latVal;
-    };
-
-    FitCaches
-    buildFitCaches(const std::vector<nasbench::Architecture> &train_archs,
-                   const std::vector<nasbench::Architecture> &val_archs)
-        const;
-
-    /** Training forward of @p batch over fit-time encoding caches. */
-    Forward forward(const EncoderCache &acc_cache,
-                    const EncoderCache &lat_cache,
-                    const std::vector<std::size_t> &batch,
-                    std::size_t head, bool training, Rng &rng) const;
-
     /**
      * Normalized accuracy and latency-head @p head outputs of one
      * chunk, gathered into the (len x 2) combiner input @p branches.
@@ -248,8 +221,7 @@ class HwPrNas : public Surrogate
      * (checkpoint loading replaces the scalers afterwards).
      */
     void buildModel(const std::vector<nasbench::Architecture> &
-                        scaler_fit,
-                    double dropout);
+                        scaler_fit);
 
     HwPrNasConfig cfg_;
     nasbench::DatasetId dataset_;

@@ -1,6 +1,7 @@
 #include "core/predictor.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/logging.h"
 #include "common/obs.h"
@@ -117,109 +118,56 @@ MetricPredictor::train(
     mlp_cfg.inDim = encoder_->dim();
     mlp_cfg.hidden = {64, 32};
     mlp_cfg.outDim = 1;
-    mlp_cfg.dropout = cfg.dropout;
+    mlp_cfg.dropout = kDropout;
     head_ = std::make_unique<nn::Mlp>(mlp_cfg, rng_, "pred");
     model_.declare({encoder_.get()}, {head_.get()});
 
     std::vector<nn::Tensor> params = encoder_->params();
     for (const auto &p : head_->params())
         params.push_back(p);
-    nn::AdamW opt(params, cfg.lr, cfg.weightDecay);
-
-    const std::size_t steps_per_epoch = std::max<std::size_t>(
-        1, (train_archs.size() + cfg.batchSize - 1) / cfg.batchSize);
-    nn::CosineAnnealing schedule(cfg.lr,
-                                 cfg.epochs * steps_per_epoch);
 
     // Deterministic encoder inputs, computed once per fit.
     const EncoderCache cache = encoder_->buildCache(train_archs);
     const EncoderCache val_cache = encoder_->buildCache(val_archs);
 
     std::vector<std::size_t> val_all(val_archs.size());
-    for (std::size_t i = 0; i < val_all.size(); ++i)
-        val_all[i] = i;
+    std::iota(val_all.begin(), val_all.end(), 0);
 
-    double best_val = 1e300;
-    std::size_t since_best = 0;
-    std::vector<Matrix> best_params = snapshotParams(params);
-    std::size_t step = 0;
-
-    static obs::Histogram &epoch_hist =
-        obs::Registry::global().histogram("predictor.fit.epoch_us");
-    static obs::Counter &early_stops =
-        obs::Registry::global().counter("predictor.fit.early_stop");
-    for (std::size_t epoch = 0; epoch < cfg.epochs; ++epoch) {
-        HWPR_SPAN("predictor.fit.epoch", {{"epoch", double(epoch)}});
-        obs::ScopedTimer epoch_timer(epoch_hist);
-        for (const auto &batch :
-             makeBatches(train_archs.size(), cfg.batchSize, rng_)) {
-            std::vector<double> y;
-            y.reserve(batch.size());
-            for (std::size_t idx : batch)
-                y.push_back(train_yn[idx]);
-            if (cfg.cosineAnnealing)
-                opt.setLearningRate(schedule.at(step));
-            ++step;
-            opt.zeroGrad();
-            const nn::Tensor pred = head_->forward(
-                encoder_->encodeCached(cache, batch), true, rng_);
-            nn::Tensor loss;
-            switch (cfg.loss) {
-              case LossKind::Mse:
-                loss = nn::mseLoss(pred, y);
-                break;
-              case LossKind::Hinge:
-                loss = nn::pairwiseHingeLoss(pred, y,
-                                             cfg.hingeMargin);
-                break;
-              case LossKind::MseHinge:
-                loss = nn::add(
-                    nn::mseLoss(pred, y),
-                    nn::scale(nn::pairwiseHingeLoss(
-                                  pred, y, cfg.hingeMargin),
-                              cfg.hingeWeight));
-                break;
-            }
-            nn::backward(loss);
-            opt.step();
-        }
-
-        // Validation loss (same objective, no dropout).
-        const nn::Tensor vp = head_->forward(
-            encoder_->encodeCached(val_cache, val_all), false, rng_);
-        double vloss = 0.0;
+    // The one loss of batches and validation.
+    auto loss_of = [&](const nn::Tensor &pred,
+                       const std::vector<double> &y) {
         switch (cfg.loss) {
           case LossKind::Mse:
-            vloss = nn::mseLoss(vp, val_yn).value()(0, 0);
-            break;
+            return nn::mseLoss(pred, y);
           case LossKind::Hinge:
-            vloss = nn::pairwiseHingeLoss(vp, val_yn,
-                                          cfg.hingeMargin)
-                        .value()(0, 0);
-            break;
+            return nn::pairwiseHingeLoss(pred, y, cfg.hingeMargin);
           case LossKind::MseHinge:
-            vloss = nn::mseLoss(vp, val_yn).value()(0, 0) +
-                    cfg.hingeWeight *
-                        nn::pairwiseHingeLoss(vp, val_yn,
-                                              cfg.hingeMargin)
-                            .value()(0, 0);
-            break;
+            return nn::add(nn::mseLoss(pred, y),
+                           nn::pairwiseHingeLoss(pred, y,
+                                                 cfg.hingeMargin));
         }
-        if (obs::metricsEnabled())
-            obs::Registry::global()
-                .gauge("predictor.fit.val_loss")
-                .set(vloss);
-        if (vloss < best_val - 1e-9) {
-            best_val = vloss;
-            since_best = 0;
-            best_params = snapshotParams(params);
-        } else if (++since_best >= cfg.patience) {
-            if (obs::metricsEnabled())
-                early_stops.add();
-            break;
-        }
-    }
-    restoreParams(params, best_params);
+        panic("unknown LossKind");
+    };
+
+    static const FitNames kNames = {
+        "predictor.fit.epoch", "predictor.fit.epoch_us",
+        "predictor.fit.val_loss", "predictor.fit.early_stop"};
+    FitLoop(params, train_archs.size(), cfg.lr, cfg.batchSize, rng_)
+        .fit(
+            kNames, cfg.epochs, cfg.patience,
+            [&](const std::vector<std::size_t> &batch) {
+                return loss_of(
+                    head_->forward(encoder_->encodeCached(cache, batch),
+                                   true, rng_),
+                    gather(train_yn, batch));
+            },
+            [&] {
+                return loss_of(head_->forward(encoder_->encodeCached(
+                                                  val_cache, val_all),
+                                              false, rng_),
+                               val_yn)
+                    .value()(0, 0);
+            });
     trained_ = true;
 }
 

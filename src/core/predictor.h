@@ -27,7 +27,6 @@
 #include "gbdt/gbdt.h"
 #include "nn/layers.h"
 #include "nn/loss.h"
-#include "nn/optim.h"
 
 namespace hwpr::core
 {
@@ -51,19 +50,19 @@ enum class LossKind
     MseHinge, ///< both combined (values + ranks)
 };
 
-/** Training hyperparameters for one predictor. */
+/**
+ * Training hyperparameters for one predictor. The schedule (cosine
+ * annealing), weight decay and dropout are Table II constants (see
+ * train_util.h).
+ */
 struct PredictorTrainConfig
 {
     std::size_t epochs = 60;
     std::size_t patience = 10;
     double lr = 3e-4;
     std::size_t batchSize = 128;
-    double weightDecay = 3e-4;
-    double dropout = 0.02;
     LossKind loss = LossKind::MseHinge;
     double hingeMargin = 0.1;
-    double hingeWeight = 1.0;
-    bool cosineAnnealing = true;
 };
 
 /** Extracts the training target from an oracle record. */

@@ -1,6 +1,7 @@
 #include "core/scalable.h"
 
 #include <fstream>
+#include <numeric>
 #include <sstream>
 
 #include "common/logging.h"
@@ -8,9 +9,6 @@
 #include "common/serialize.h"
 #include "nasbench/dataset_id.h"
 #include "nn/loss.h"
-#include "nn/optim.h"
-#include "pareto/pareto.h"
-#include "search/evaluator.h"
 
 namespace hwpr::core
 {
@@ -24,8 +22,7 @@ ScalableHwPrNas::ScalableHwPrNas(const ScalableConfig &cfg,
 
 void
 ScalableHwPrNas::buildModel(
-    const std::vector<nasbench::Architecture> &scaler_fit,
-    double dropout)
+    const std::vector<nasbench::Architecture> &scaler_fit)
 {
     encoder_ = std::make_unique<ArchEncoder>(
         EncodingKind::ALL, cfg_.encoder, dataset_, scaler_fit, rng_);
@@ -33,7 +30,7 @@ ScalableHwPrNas::buildModel(
     mlp_cfg.inDim = encoder_->dim();
     mlp_cfg.hidden = cfg_.mlpHidden;
     mlp_cfg.outDim = 1;
-    mlp_cfg.dropout = dropout;
+    mlp_cfg.dropout = kDropout;
     mlp_ = std::make_unique<nn::Mlp>(mlp_cfg, rng_, "scalable_mlp");
     declareModel({encoder_.get()}, {mlp_.get()});
 }
@@ -90,8 +87,7 @@ ScalableHwPrNas::load(const std::string &path)
     model->platform_ = platform;
     model->energyAware_ = energy_aware;
     Rng dummy_rng(0);
-    model->buildModel({nasbench::nasBench201().sample(dummy_rng)},
-                      0.0);
+    model->buildModel({nasbench::nasBench201().sample(dummy_rng)});
     std::vector<nn::Tensor> params = model->encoder_->params();
     for (const auto &p : model->mlp_->params())
         params.push_back(p);
@@ -100,19 +96,6 @@ ScalableHwPrNas::load(const std::string &path)
         return nullptr;
     model->trained_ = true;
     return model;
-}
-
-std::vector<int>
-ScalableHwPrNas::ranksOf(
-    const std::vector<const nasbench::ArchRecord *> &recs,
-    const std::vector<std::size_t> &batch, bool with_energy) const
-{
-    std::vector<pareto::Point> pts;
-    pts.reserve(batch.size());
-    for (std::size_t idx : batch)
-        pts.push_back(search::trueObjectives(*recs[idx], platform_,
-                                             with_energy));
-    return pareto::paretoRanks(pts);
 }
 
 void
@@ -134,82 +117,45 @@ ScalableHwPrNas::train(
     for (const auto *rec : val)
         val_archs.push_back(rec->arch);
 
-    buildModel(train_archs, cfg.dropout);
+    buildModel(train_archs);
 
     std::vector<nn::Tensor> params = encoder_->params();
     for (const auto &p : mlp_->params())
         params.push_back(p);
-    nn::AdamW opt(params, cfg.learningRate, cfg.weightDecay);
-    const std::size_t steps_per_epoch = std::max<std::size_t>(
-        1, (train_archs.size() + cfg.batchSize - 1) / cfg.batchSize);
-    nn::CosineAnnealing schedule(cfg.learningRate,
-                                 cfg.epochs * steps_per_epoch);
 
-    std::vector<std::size_t> val_all(val_archs.size());
-    for (std::size_t i = 0; i < val_all.size(); ++i)
-        val_all[i] = i;
-    const std::vector<int> val_ranks = ranksOf(val, val_all, false);
-
-    // True objective points once per fit; per-batch ranks gather from
+    // True objective points once per fit; batch ranks gather from
     // these instead of re-deriving every point every step.
-    std::vector<pareto::Point> train_pts;
-    train_pts.reserve(train.size());
-    for (const auto *rec : train)
-        train_pts.push_back(
-            search::trueObjectives(*rec, platform_, false));
+    const std::vector<pareto::Point> train_pts =
+        objectivePoints(train, platform_);
+    std::vector<std::size_t> val_all(val_archs.size());
+    std::iota(val_all.begin(), val_all.end(), 0);
+    const std::vector<int> val_ranks =
+        batchRanks(objectivePoints(val, platform_), val_all);
 
     const EncoderCache cache = encoder_->buildCache(train_archs);
     const EncoderCache val_cache = encoder_->buildCache(val_archs);
 
-    double best_val = 1e300;
-    std::size_t since_best = 0;
-    std::vector<Matrix> best_params = snapshotParams(params);
-    std::size_t step = 0;
-
-    static obs::Histogram &epoch_hist =
-        obs::Registry::global().histogram("scalable.fit.epoch_us");
-    static obs::Counter &early_stops =
-        obs::Registry::global().counter("scalable.fit.early_stop");
-    for (std::size_t epoch = 0; epoch < cfg.epochs; ++epoch) {
-        HWPR_SPAN("scalable.fit.epoch", {{"epoch", double(epoch)}});
-        obs::ScopedTimer epoch_timer(epoch_hist);
-        for (const auto &batch :
-             makeBatches(train_archs.size(), cfg.batchSize, rng_)) {
-            std::vector<pareto::Point> sub;
-            sub.reserve(batch.size());
-            for (std::size_t idx : batch)
-                sub.push_back(train_pts[idx]);
-            const std::vector<int> ranks = pareto::paretoRanks(sub);
-            if (cfg.cosineAnnealing)
-                opt.setLearningRate(schedule.at(step));
-            ++step;
-            opt.zeroGrad();
-            nn::Tensor loss = nn::listMleParetoLoss(
-                mlp_->forward(encoder_->encodeCached(cache, batch), true,
-                              rng_),
-                ranks);
-            nn::backward(loss);
-            opt.step();
-        }
-        const nn::Tensor vp = mlp_->forward(
-            encoder_->encodeCached(val_cache, val_all), false, rng_);
-        const double vloss =
-            nn::listMleParetoLoss(vp, val_ranks).value()(0, 0);
-        if (obs::metricsEnabled())
-            obs::Registry::global()
-                .gauge("scalable.fit.val_loss")
-                .set(vloss);
-        if (vloss < best_val - 1e-9) {
-            best_val = vloss;
-            since_best = 0;
-            best_params = snapshotParams(params);
-        } else if (++since_best >= cfg.patience) {
-            if (obs::metricsEnabled())
-                early_stops.add();
-            break;
-        }
-    }
-    restoreParams(params, best_params);
+    static const FitNames kNames = {
+        "scalable.fit.epoch", "scalable.fit.epoch_us",
+        "scalable.fit.val_loss", "scalable.fit.early_stop"};
+    FitLoop(params, train_archs.size(), cfg.learningRate, cfg.batchSize,
+            rng_)
+        .fit(
+            kNames, cfg.epochs, cfg.patience,
+            [&](const std::vector<std::size_t> &batch) {
+                return nn::listMleParetoLoss(
+                    mlp_->forward(encoder_->encodeCached(cache, batch),
+                                  true, rng_),
+                    batchRanks(train_pts, batch));
+            },
+            [&] {
+                return nn::listMleParetoLoss(
+                           mlp_->forward(encoder_->encodeCached(
+                                             val_cache, val_all),
+                                         false, rng_),
+                           val_ranks)
+                    .value()(0, 0);
+            });
     invalidateRank();
     trained_ = true;
     energyAware_ = false;
@@ -224,38 +170,24 @@ ScalableHwPrNas::addEnergyObjective(
     std::vector<nasbench::Architecture> train_archs;
     for (const auto *rec : train)
         train_archs.push_back(rec->arch);
-
-    // Fine-tune only the MLP; the encoding component stays frozen
-    // (paper Sec. III-F).
-    std::vector<pareto::Point> train_pts;
-    train_pts.reserve(train.size());
-    for (const auto *rec : train)
-        train_pts.push_back(
-            search::trueObjectives(*rec, platform_, true));
-
+    const std::vector<pareto::Point> train_pts =
+        objectivePoints(train, platform_, true);
     const EncoderCache cache = encoder_->buildCache(train_archs);
 
-    nn::AdamW opt(mlp_->params(), lr, 0.0);
-    for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
-        for (const auto &batch :
-             makeBatches(train_archs.size(), batch_size, rng_)) {
-            std::vector<pareto::Point> sub;
-            sub.reserve(batch.size());
-            for (std::size_t idx : batch)
-                sub.push_back(train_pts[idx]);
-            const std::vector<int> ranks = pareto::paretoRanks(sub);
-            opt.zeroGrad();
+    // Fine-tune only the MLP, without weight decay; the encoding
+    // component stays frozen (paper Sec. III-F). The frozen encoding
+    // enters the MLP as a constant, so backward stops at the MLP.
+    FitLoop fine_tune(mlp_->params(), train_archs.size(), lr, batch_size,
+                      rng_, 0.0);
+    for (std::size_t e = 0; e < epochs; ++e)
+        fine_tune.epoch([&](const std::vector<std::size_t> &batch) {
             const nn::Tensor enc = encoder_->encodeCached(cache, batch);
-            // The frozen encoding enters the MLP as a constant, so
-            // backward stops at the MLP.
-            const nn::Tensor pred = mlp_->forward(
-                nn::Tensor::constant(enc.value(), "frozen_enc"), false,
-                rng_);
-            nn::Tensor loss = nn::listMleParetoLoss(pred, ranks);
-            nn::backward(loss);
-            opt.step();
-        }
-    }
+            return nn::listMleParetoLoss(
+                mlp_->forward(
+                    nn::Tensor::constant(enc.value(), "frozen_enc"),
+                    false, rng_),
+                batchRanks(train_pts, batch));
+        });
     invalidateRank();
     energyAware_ = true;
 }

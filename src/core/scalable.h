@@ -101,13 +101,7 @@ class ScalableHwPrNas : public Surrogate
 
   private:
     void buildModel(
-        const std::vector<nasbench::Architecture> &scaler_fit,
-        double dropout);
-
-    std::vector<int>
-    ranksOf(const std::vector<const nasbench::ArchRecord *> &recs,
-            const std::vector<std::size_t> &batch,
-            bool with_energy) const;
+        const std::vector<nasbench::Architecture> &scaler_fit);
 
     ScalableConfig cfg_;
     nasbench::DatasetId dataset_;

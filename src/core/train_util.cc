@@ -1,9 +1,12 @@
 #include "core/train_util.h"
 
-#include <cmath>
+#include <algorithm>
+#include <utility>
 
 #include "common/logging.h"
+#include "common/obs.h"
 #include "common/stats.h"
+#include "search/evaluator.h"
 
 namespace hwpr::core
 {
@@ -78,6 +81,97 @@ restoreParams(const std::vector<nn::Tensor> &params,
         auto p = params[i];
         p.valueMut() = snapshot[i];
     }
+}
+
+std::vector<pareto::Point>
+objectivePoints(const std::vector<const nasbench::ArchRecord *> &recs,
+                hw::PlatformId platform, bool with_energy)
+{
+    std::vector<pareto::Point> out;
+    out.reserve(recs.size());
+    for (const auto *rec : recs)
+        out.push_back(search::trueObjectives(*rec, platform, with_energy));
+    return out;
+}
+
+std::vector<int>
+batchRanks(const std::vector<pareto::Point> &points,
+           const std::vector<std::size_t> &rows)
+{
+    return pareto::paretoRanks(gather(points, rows));
+}
+
+FitLoop::FitLoop(std::vector<nn::Tensor> params, std::size_t items,
+                 double lr, std::size_t batch_size, Rng &rng,
+                 double weight_decay)
+    : params_(std::move(params)), items_(items), lr_(lr),
+      batchSize_(batch_size), rng_(rng),
+      opt_(params_, lr, weight_decay)
+{
+    HWPR_CHECK(batch_size > 0, "batch size must be positive");
+}
+
+double
+FitLoop::runEpoch(const BatchLoss &loss,
+                  const nn::CosineAnnealing *schedule)
+{
+    double last = 0.0;
+    for (const auto &batch : makeBatches(items_, batchSize_, rng_)) {
+        if (schedule)
+            opt_.setLearningRate(schedule->at(step_++));
+        opt_.zeroGrad();
+        const nn::Tensor l = loss(batch);
+        nn::backward(l);
+        opt_.step();
+        last = l.value()(0, 0);
+    }
+    return last;
+}
+
+std::vector<double>
+FitLoop::fit(const FitNames &names, std::size_t epochs,
+             std::size_t patience, const BatchLoss &loss,
+             const std::function<double()> &val_loss,
+             const std::function<void()> &epoch_start)
+{
+    const nn::CosineAnnealing schedule(
+        lr_, epochs * std::max<std::size_t>(
+                          1, (items_ + batchSize_ - 1) / batchSize_));
+    // Observability only reads the clock and computed values; it
+    // never touches the Rng or the iteration order.
+    obs::Registry &registry = obs::Registry::global();
+    obs::Histogram &epoch_us = registry.histogram(names.epochUs);
+    obs::Counter &early_stop = registry.counter(names.earlyStop);
+
+    std::vector<double> history;
+    double best = 1e300;
+    std::size_t since_best = 0;
+    std::vector<Matrix> best_params = snapshotParams(params_);
+    for (std::size_t e = 0; e < epochs; ++e) {
+        obs::Span span(names.epochSpan, {{"epoch", double(e)}});
+        obs::ScopedTimer timer(epoch_us);
+        if (epoch_start)
+            epoch_start();
+        const double train_loss = runEpoch(loss, &schedule);
+        const double v = val_loss();
+        history.push_back(v);
+        if (obs::metricsEnabled()) {
+            if (names.trainLoss)
+                registry.gauge(names.trainLoss).set(train_loss);
+            registry.gauge(names.valLoss).set(v);
+        }
+        if (v < best - 1e-9) {
+            best = v;
+            since_best = 0;
+            best_params = snapshotParams(params_);
+        } else if (++since_best >= patience) {
+            if (obs::metricsEnabled())
+                early_stop.add();
+            break;
+        }
+    }
+    restoreParams(params_, best_params);
+    return history;
 }
 
 } // namespace hwpr::core

@@ -456,6 +456,25 @@ TEST(MultiPlatform, ActivePlatformRetargetsScores)
     EXPECT_EQ(model.predict(archs).raw(), via_active);
 }
 
+TEST(MultiPlatformDeathTest, RejectsARepeatedPlatform)
+{
+    // A repeated platform would put one head's tensors in the
+    // optimizer twice (two Adam updates per step) and count its loss
+    // terms twice.
+    const auto &data = tinyData();
+    HwPrNasConfig mc;
+    mc.encoder = tinyEncoder();
+    HwPrNas model(mc, nasbench::DatasetId::Cifar10, 33);
+    TrainConfig tc;
+    tc.epochs = 1;
+    EXPECT_DEATH(model.trainMultiPlatform(
+                     data.select(data.trainIdx), data.select(data.valIdx),
+                     {hw::PlatformId::EdgeGpu, hw::PlatformId::Pixel3,
+                      hw::PlatformId::EdgeGpu},
+                     tc),
+                 "platform EdgeGPU is listed twice");
+}
+
 TEST(Checkpoint, ScalableSaveLoadRoundTrips)
 {
     const auto &data = tinyData();

@@ -2,22 +2,39 @@
  * @file
  * Training fast-path tests: the tiled GEMM kernels must match the
  * naive reference kernels on arbitrary (including odd and packed)
- * shapes, gradients must stay correct through the tiled kernels, and
- * the fit-time encoding cache must encode, and backpropagate, exactly
- * like the plain encoder for every encoding kind.
+ * shapes, gradients must stay correct through the tiled kernels, the
+ * fit-time encoding cache must encode, and backpropagate, exactly
+ * like the plain encoder for every encoding kind, and the one fit
+ * loop must early-stop and restore as documented and give every
+ * family the same model at any thread count.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <fstream>
+#include <functional>
+#include <iterator>
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "baselines/brpnas.h"
+#include "baselines/gates.h"
 #include "common/matrix.h"
+#include "common/obs.h"
 #include "common/rng.h"
+#include "common/threadpool.h"
+#include "core/dominance.h"
 #include "core/encoding.h"
+#include "core/hwprnas.h"
+#include "core/scalable.h"
+#include "core/train_util.h"
 #include "nasbench/space.h"
 #include "nn/gradcheck.h"
+#include "nn/loss.h"
 #include "nn/tensor.h"
 
 using namespace hwpr;
@@ -214,5 +231,217 @@ TEST(TrainFastPath, EncodeCachedMatchesEncodeForEveryKind)
         for (std::size_t i = 0; i < g_plain.size(); ++i)
             EXPECT_TRUE(bitsEqual(g_plain[i], g_cached[i]))
                 << enc.params()[i].name();
+    }
+}
+
+namespace
+{
+
+/** 120 measured architectures: 80 train, 24 validation. */
+const nasbench::SampledDataset &
+fitData()
+{
+    static const nasbench::SampledDataset data = [] {
+        static nasbench::Oracle oracle(nasbench::DatasetId::Cifar10);
+        Rng rng(4321);
+        return nasbench::SampledDataset::sample(
+            {&nasbench::nasBench201(), &nasbench::fbnet()}, oracle, 120,
+            80, 24, rng);
+    }();
+    return data;
+}
+
+core::EncoderConfig
+tinyFitEncoder()
+{
+    core::EncoderConfig cfg;
+    cfg.gcnHidden = 12;
+    cfg.lstmHidden = 10;
+    cfg.embedDim = 6;
+    return cfg;
+}
+
+/** save() bytes of the model @p fit returns, fitted at @p threads. */
+std::string
+fittedBytes(std::size_t threads,
+            const std::function<std::unique_ptr<core::Surrogate>()> &fit)
+{
+    const std::size_t before = ExecContext::global().threads();
+    ExecContext::setGlobalThreads(threads);
+    const auto model = fit();
+    ExecContext::setGlobalThreads(before);
+    const std::string path = ::testing::TempDir() + "fit_loop_bytes.ckpt";
+    EXPECT_TRUE(model->save(path));
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+} // namespace
+
+TEST(FitLoop, EarlyStopRestoresTheBestEpoch)
+{
+    // One parameter pulled toward 3 by every step, so each epoch
+    // leaves a different value; the validation losses are scripted.
+    // Epochs 0, 1 and 3 improve. Epoch 2 and epoch 5 undercut the best
+    // by less than 1e-9, which is no improvement, so epochs 4-6 are
+    // the three without one and patience 3 stops the fit after epoch 6.
+    const std::vector<double> script = {5.0, 4.0,       4.0 - 1e-10,
+                                        3.0, 3.5,       3.0 - 5e-10,
+                                        3.2, 1.0,       1.0};
+    nn::Tensor w = nn::Tensor::param(Matrix(1, 1, 0.0), "w");
+    std::vector<double> w_after;
+    std::size_t epoch_starts = 0;
+
+    const bool metrics_were_on = obs::metricsEnabled();
+    obs::setMetricsEnabled(true);
+    obs::Registry &registry = obs::Registry::global();
+    const core::FitNames names = {
+        "fit_loop_test.epoch", "fit_loop_test.epoch_us",
+        "fit_loop_test.val_loss", "fit_loop_test.early_stop"};
+    const std::uint64_t epochs_before =
+        registry.histogram(names.epochUs).count();
+    const std::uint64_t stops_before = registry.counterValue(names.earlyStop);
+
+    Rng rng(3);
+    core::FitLoop loop({w}, 4, 0.1, 2, rng, 0.0);
+    const std::vector<double> history = loop.fit(
+        names, 20, 3,
+        [&](const std::vector<std::size_t> &) {
+            return nn::mseLoss(w, {3.0});
+        },
+        [&] {
+            EXPECT_EQ(epoch_starts, w_after.size() + 1);
+            w_after.push_back(w.value()(0, 0));
+            return script[w_after.size() - 1];
+        },
+        [&] { ++epoch_starts; });
+
+    const std::uint64_t epochs_run =
+        registry.histogram(names.epochUs).count() - epochs_before;
+    const std::uint64_t stops =
+        registry.counterValue(names.earlyStop) - stops_before;
+    obs::setMetricsEnabled(metrics_were_on);
+
+    ASSERT_EQ(history.size(), 7u);
+    EXPECT_EQ(history, std::vector<double>(script.begin(),
+                                           script.begin() + 7));
+    EXPECT_EQ(w_after.size(), 7u);
+    EXPECT_EQ(epochs_run, 7u);
+    EXPECT_EQ(stops, 1u);
+    EXPECT_EQ(registry.gaugeValue(names.valLoss), script[6]);
+    // Restored to the value after epoch 3, not the last epoch's.
+    EXPECT_NE(w_after[3], w_after[6]);
+    EXPECT_EQ(w.value()(0, 0), w_after[3]);
+}
+
+TEST(FitLoopDeathTest, ZeroBatchSizeIsAnError)
+{
+    // The schedule length divides by the batch size; a zero must be a
+    // clear error, not a floating point exception. The fit runs pool
+    // work before it fails, which a forked child cannot do.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const auto &data = fitData();
+    core::HwPrNasConfig mc;
+    mc.encoder = tinyFitEncoder();
+    core::HwPrNas model(mc, nasbench::DatasetId::Cifar10, 5);
+    core::TrainConfig tc;
+    tc.batchSize = 0;
+    EXPECT_DEATH(model.train(data.select(data.trainIdx),
+                             data.select(data.valIdx),
+                             hw::PlatformId::EdgeGpu, tc),
+                 "batch size must be positive");
+    Rng rng(1);
+    nn::Tensor w = nn::Tensor::param(Matrix(1, 1, 0.0), "w");
+    EXPECT_DEATH(core::FitLoop({w}, 4, 0.1, 0, rng),
+                 "batch size must be positive");
+}
+
+TEST(FitLoop, EveryFitIsThreadCountInvariant)
+{
+    // Each training entry point fitted at 1 and at 4 threads must
+    // save the same bytes: the GEMMs, the fused LSTM and the GCN fan
+    // out over the pool, and none of it may change a model.
+    const auto &data = fitData();
+    const auto tr = data.select(data.trainIdx);
+    const auto va = data.select(data.valIdx);
+    const hw::PlatformId gpu = hw::PlatformId::EdgeGpu;
+    const core::EncoderConfig enc = tinyFitEncoder();
+    core::TrainConfig tc;
+    tc.epochs = 3;
+    tc.patience = 2;
+    tc.combinerEpochs = 2;
+    tc.learningRate = 2e-3;
+    tc.batchSize = 32;
+    core::PredictorTrainConfig pc;
+    pc.epochs = 3;
+    pc.batchSize = 32;
+
+    core::HwPrNasConfig hc;
+    hc.encoder = enc;
+    core::ScalableConfig sc;
+    sc.encoder = enc;
+    // Dominance trains on 40 x 39 ordered pairs of the first 40
+    // records: resampled above the cap, all of them below it.
+    const std::vector<const nasbench::ArchRecord *> tr40(tr.begin(),
+                                                         tr.begin() + 40);
+    core::TrainConfig pairs_tc = tc;
+    pairs_tc.batchSize = 128;
+    auto dominance = [&](std::size_t max_pairs) {
+        core::DominanceConfig dc;
+        dc.encoder = enc;
+        dc.maxPairsPerEpoch = max_pairs;
+        auto m = std::make_unique<core::DominanceSurrogate>(
+            dc, nasbench::DatasetId::Cifar10, 9);
+        m->train(tr40, va, gpu, pairs_tc);
+        return m;
+    };
+    using Fit = std::function<std::unique_ptr<core::Surrogate>()>;
+    const std::vector<std::pair<const char *, Fit>> fits = {
+        {"HW-PR-NAS train",
+         [&] {
+             auto m = std::make_unique<core::HwPrNas>(
+                 hc, nasbench::DatasetId::Cifar10, 6);
+             m->train(tr, va, gpu, tc);
+             return m;
+         }},
+        {"HW-PR-NAS trainMultiPlatform",
+         [&] {
+             auto m = std::make_unique<core::HwPrNas>(
+                 hc, nasbench::DatasetId::Cifar10, 7);
+             m->trainMultiPlatform(tr, va, {gpu, hw::PlatformId::Pixel3},
+                                   tc);
+             return m;
+         }},
+        {"scalable train + addEnergyObjective",
+         [&] {
+             auto m = std::make_unique<core::ScalableHwPrNas>(
+                 sc, nasbench::DatasetId::Cifar10, 8);
+             m->train(tr, va, gpu, tc);
+             m->addEnergyObjective(tr, 2, 1e-3, 32);
+             return m;
+         }},
+        {"dominance, resampled pairs", [&] { return dominance(500); }},
+        {"dominance, every pair", [&] { return dominance(20000); }},
+        {"BRP-NAS",
+         [&] {
+             auto m = std::make_unique<baselines::BrpNas>(
+                 enc, nasbench::DatasetId::Cifar10, 10);
+             m->train(tr, va, gpu, pc);
+             return m;
+         }},
+        {"GATES",
+         [&] {
+             auto m = std::make_unique<baselines::Gates>(
+                 enc, nasbench::DatasetId::Cifar10, 11);
+             m->train(tr, va, gpu, pc);
+             return m;
+         }},
+    };
+    for (const auto &[what, fit] : fits) {
+        SCOPED_TRACE(what);
+        const std::string serial = fittedBytes(1, fit);
+        EXPECT_FALSE(serial.empty());
+        EXPECT_TRUE(serial == fittedBytes(4, fit));
     }
 }
