@@ -33,7 +33,6 @@
 #include "core/scalable.h"
 #include "search/moea.h"
 #include "search/report.h"
-#include "search/surrogate_evaluator.h"
 
 namespace hwpr::benchx
 {

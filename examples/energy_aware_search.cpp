@@ -14,7 +14,6 @@
 #include "pareto/pareto.h"
 #include "core/surrogate.h"
 #include "search/moea.h"
-#include "search/surrogate_evaluator.h"
 
 using namespace hwpr;
 

@@ -14,7 +14,6 @@
 #include "core/surrogate.h"
 #include "search/moea.h"
 #include "search/report.h"
-#include "search/surrogate_evaluator.h"
 
 using namespace hwpr;
 

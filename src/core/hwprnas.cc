@@ -22,25 +22,16 @@ HwPrNas::HwPrNas(const HwPrNasConfig &cfg, nasbench::DatasetId dataset,
 {
 }
 
-std::size_t
-HwPrNas::headIndex(hw::PlatformId platform) const
-{
-    return cfg_.sharedLatencyHead ? 0 : hw::platformIndex(platform);
-}
-
 void
 HwPrNas::buildModel(
     const std::vector<nasbench::Architecture> &scaler_fit)
 {
-    // Branch encodings follow the ablation winners: GCN(+AF) for
-    // accuracy, LSTM(+AF) for latency.
+    // Branch encodings follow the ablation winners: GCN+AF for
+    // accuracy, LSTM+AF for latency.
     accEncoder_ = std::make_unique<ArchEncoder>(
-        cfg_.useArchFeatures ? EncodingKind::GCN_AF : EncodingKind::GCN,
-        cfg_.encoder, dataset_, scaler_fit, rng_);
+        EncodingKind::GCN_AF, cfg_.encoder, dataset_, scaler_fit, rng_);
     latEncoder_ = std::make_unique<ArchEncoder>(
-        cfg_.useArchFeatures ? EncodingKind::LSTM_AF
-                             : EncodingKind::LSTM,
-        cfg_.encoder, dataset_, scaler_fit, rng_);
+        EncodingKind::LSTM_AF, cfg_.encoder, dataset_, scaler_fit, rng_);
 
     nn::MlpConfig acc_mlp;
     acc_mlp.inDim = accEncoder_->dim();
@@ -55,9 +46,7 @@ HwPrNas::buildModel(
     lat_mlp.outDim = 1;
     lat_mlp.dropout = kDropout;
     latHeads_.clear();
-    const std::size_t num_heads =
-        cfg_.sharedLatencyHead ? 1 : hw::kNumPlatforms;
-    for (std::size_t h = 0; h < num_heads; ++h)
+    for (std::size_t h = 0; h < hw::kNumPlatforms; ++h)
         latHeads_.push_back(std::make_unique<nn::Mlp>(
             lat_mlp, rng_, "lat_head" + std::to_string(h)));
     nn::MlpConfig comb_cfg;
@@ -123,13 +112,11 @@ HwPrNas::trainMultiPlatform(
             HWPR_CHECK(platforms[p] != platforms[q], "platform ",
                        hw::platformName(platforms[p]),
                        " is listed twice");
-    HWPR_CHECK(platforms.size() == 1 || !cfg_.sharedLatencyHead,
-               "multi-platform training requires per-platform heads");
     platform_ = platforms.front();
     const std::size_t np = platforms.size();
     std::vector<std::size_t> heads;
     for (hw::PlatformId platform : platforms)
-        heads.push_back(headIndex(platform));
+        heads.push_back(hw::platformIndex(platform));
 
     // One record set's standardized targets (accuracy % and
     // per-platform log-latency), per-platform true objective points
@@ -302,7 +289,7 @@ void
 HwPrNas::chunk(const ChunkPass &pass, Matrix &out) const
 {
     Matrix &branches = pass.buffer(2);
-    branchChunk(pass, headIndex(platform_), branches);
+    branchChunk(pass, hw::platformIndex(platform_), branches);
     Matrix &score = pass.buffer(1);
     pass.head(1 + latHeads_.size(), branches, score);
     for (std::size_t r = 0; r < pass.archs.size(); ++r)
@@ -338,7 +325,7 @@ HwPrNas::predictLatencyFor(
     const std::vector<nasbench::Architecture> &archs,
     hw::PlatformId platform) const
 {
-    const std::size_t head = headIndex(platform);
+    const std::size_t head = hw::platformIndex(platform);
     const Matrix b = branchOutputs(archs, head);
     std::vector<double> out(archs.size());
     for (std::size_t i = 0; i < archs.size(); ++i)
@@ -350,7 +337,8 @@ std::vector<double>
 HwPrNas::predictAccuracy(
     const std::vector<nasbench::Architecture> &archs) const
 {
-    const Matrix b = branchOutputs(archs, headIndex(platform_));
+    const Matrix b =
+        branchOutputs(archs, hw::platformIndex(platform_));
     std::vector<double> out(archs.size());
     for (std::size_t i = 0; i < archs.size(); ++i)
         out[i] = accScaler_.denorm(b(i, 0));
@@ -403,9 +391,9 @@ HwPrNas::writeBody(BinaryWriter &w) const
     writeEncoderConfig(w, cfg_.encoder, /*global_node_field=*/false);
     writeWidths(w, cfg_.headHidden);
     writeWidths(w, cfg_.combinerHidden);
-    w.writeU64(cfg_.useArchFeatures ? 1 : 0);
+    w.writeU64(1); // AF with both encodings
     w.writeDouble(cfg_.rmseWeight);
-    w.writeU64(cfg_.sharedLatencyHead ? 1 : 0);
+    w.writeU64(0); // one latency head per platform
     w.writeU64(std::uint64_t(dataset_));
     w.writeU64(std::uint64_t(platform_));
 
@@ -436,12 +424,15 @@ HwPrNas::load(const std::string &path)
         !readWidths(r, cfg.headHidden) ||
         !readWidths(r, cfg.combinerHidden))
         return nullptr;
-    cfg.useArchFeatures = r.readU64() != 0;
+    // Flag words: AF with both encodings (1), shared latency head (0).
+    // The model has no other shape, so other values are rejected.
+    const std::uint64_t af = r.readU64();
     cfg.rmseWeight = r.readDouble();
-    cfg.sharedLatencyHead = r.readU64() != 0;
+    const std::uint64_t shared_head = r.readU64();
     const std::uint64_t dataset_raw = r.readU64();
     const std::uint64_t platform_raw = r.readU64();
-    if (!r.ok() || dataset_raw >= nasbench::allDatasets().size() ||
+    if (!r.ok() || af != 1 || shared_head != 0 ||
+        dataset_raw >= nasbench::allDatasets().size() ||
         platform_raw >= hw::kNumPlatforms)
         return nullptr;
     const auto dataset = nasbench::DatasetId(dataset_raw);

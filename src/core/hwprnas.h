@@ -50,13 +50,8 @@ struct HwPrNasConfig
      * express curved Pareto level sets and is the default.
      */
     std::vector<std::size_t> combinerHidden = {16};
-    /** Concatenate AF with both learned encodings (paper default). */
-    bool useArchFeatures = true;
     /** Weight of the per-branch RMSE auxiliary losses. */
     double rmseWeight = 1.0;
-    /** Share one latency head across platforms (ablation; the paper
-     *  duplicates the regressor per platform). */
-    bool sharedLatencyHead = false;
 };
 
 /**
@@ -210,8 +205,6 @@ class HwPrNas : public Surrogate
     Matrix branchOutputs(std::span<const nasbench::Architecture> archs,
                          std::size_t head) const;
 
-    std::size_t headIndex(hw::PlatformId platform) const;
-
     /** Checkpoint body (header + config + scalers + params). */
     void writeBody(BinaryWriter &w) const;
 
@@ -232,12 +225,13 @@ class HwPrNas : public Surrogate
     std::unique_ptr<ArchEncoder> accEncoder_;
     std::unique_ptr<ArchEncoder> latEncoder_;
     std::unique_ptr<nn::Mlp> accHead_;
-    /** Multi-platform latency predictor: one head per platform. */
+    /** Multi-platform latency predictor: one head per platform,
+     *  indexed by hw::platformIndex. */
     std::vector<std::unique_ptr<nn::Mlp>> latHeads_;
     std::unique_ptr<nn::Mlp> combiner_;
 
     TargetScaler accScaler_;
-    /** Per-head latency scalers (index = headIndex of a platform). */
+    /** Per-platform latency scalers (index = hw::platformIndex). */
     std::array<TargetScaler, hw::kNumPlatforms> latScalers_;
     std::vector<double> valLossHistory_;
     bool trained_ = false;

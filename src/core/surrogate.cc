@@ -1,10 +1,8 @@
 #include "core/surrogate.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <mutex>
-#include <string_view>
 
 #include "common/logging.h"
 #include "common/obs.h"
@@ -17,19 +15,6 @@
 
 namespace hwpr::core
 {
-
-namespace
-{
-
-/** HWPR_RANK_ONLY: any value but "" / "0" enables rank-only mode. */
-bool
-rankOnlyEnvEnabled()
-{
-    const char *v = std::getenv("HWPR_RANK_ONLY");
-    return v != nullptr && *v != '\0' && std::string_view(v) != "0";
-}
-
-} // namespace
 
 struct RankState
 {
@@ -174,8 +159,7 @@ Surrogate::predict(std::span<const nasbench::Architecture> archs) const
 
 SurrogateEvaluator::SurrogateEvaluator(const Surrogate &model,
                                        double sim_seconds_per_eval)
-    : model_(model), simSecondsPerEval_(sim_seconds_per_eval),
-      rankOnly_(rankOnlyEnvEnabled())
+    : model_(model), simSecondsPerEval_(sim_seconds_per_eval)
 {
 }
 

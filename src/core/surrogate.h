@@ -24,8 +24,7 @@
  * `SurrogateEvaluator` adapts a fitted surrogate to the search layer's
  * `search::Evaluator` so MOEA / random search can consume populations
  * directly. (It lives here rather than in search/ because search/ is
- * below core/ in the link order; the function-based adapters in
- * search/surrogate_evaluator.h remain for ad-hoc callables.)
+ * below core/ in the link order.)
  */
 
 #ifndef HWPR_CORE_SURROGATE_H
@@ -313,11 +312,7 @@ class Surrogate
 class SurrogateEvaluator : public search::Evaluator
 {
   public:
-    /**
-     * Rank-only mode starts from the HWPR_RANK_ONLY environment
-     * variable (any value but "" / "0" enables it); setRankOnly()
-     * overrides either way.
-     */
+    /** Starts in fp64 mode; setRankOnly() switches to the rank path. */
     explicit SurrogateEvaluator(const Surrogate &model,
                                 double sim_seconds_per_eval = 0.0);
 

@@ -32,31 +32,34 @@ TargetScaler::normAll(const std::vector<double> &y) const
     return out;
 }
 
-std::vector<double>
-TargetScaler::denormAll(const std::vector<double> &y) const
+std::size_t
+batchCount(std::size_t n, std::size_t batch_size)
 {
-    std::vector<double> out(y.size());
-    for (std::size_t i = 0; i < y.size(); ++i)
-        out[i] = denorm(y[i]);
-    return out;
+    HWPR_CHECK(batch_size > 0, "batch size must be positive");
+    if (n == 0)
+        return 0;
+    // At batch size 1 every batch after the first is a lone item.
+    if (batch_size == 1)
+        return 1;
+    return std::max<std::size_t>(
+        1, n / batch_size + (n % batch_size >= 2 ? 1 : 0));
 }
 
 std::vector<std::vector<std::size_t>>
 makeBatches(std::size_t n, std::size_t batch_size, Rng &rng)
 {
-    HWPR_CHECK(batch_size > 0, "batch size must be positive");
+    const std::size_t count = batchCount(n, batch_size);
     std::vector<std::size_t> order(n);
     for (std::size_t i = 0; i < n; ++i)
         order[i] = i;
     rng.shuffle(order);
     std::vector<std::vector<std::size_t>> batches;
-    for (std::size_t start = 0; start < n; start += batch_size) {
-        const std::size_t end = std::min(n, start + batch_size);
-        // Drop tiny trailing batches: listwise losses need lists.
-        if (end - start < 2 && !batches.empty())
-            break;
+    batches.reserve(count);
+    for (std::size_t k = 0; k < count; ++k) {
+        const std::size_t start = k * batch_size;
         batches.emplace_back(order.begin() + start,
-                             order.begin() + end);
+                             order.begin() +
+                                 std::min(n, start + batch_size));
     }
     return batches;
 }
@@ -136,7 +139,7 @@ FitLoop::fit(const FitNames &names, std::size_t epochs,
 {
     const nn::CosineAnnealing schedule(
         lr_, epochs * std::max<std::size_t>(
-                          1, (items_ + batchSize_ - 1) / batchSize_));
+                          1, batchCount(items_, batchSize_)));
     // Observability only reads the clock and computed values; it
     // never touches the Rng or the iteration order.
     obs::Registry &registry = obs::Registry::global();

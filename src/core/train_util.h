@@ -40,10 +40,19 @@ struct TargetScaler
     double denorm(double v) const { return v * sigma + mu; }
 
     std::vector<double> normAll(const std::vector<double> &y) const;
-    std::vector<double> denormAll(const std::vector<double> &y) const;
 };
 
-/** Shuffled mini-batch index lists covering [0, n). */
+/**
+ * Number of batches makeBatches() yields for @p n items: full batches
+ * of @p batch_size, then the remainder, except that a batch of one
+ * item runs only when it is the first (listwise losses need lists).
+ */
+std::size_t batchCount(std::size_t n, std::size_t batch_size);
+
+/**
+ * batchCount(n, batch_size) shuffled mini-batch index lists over
+ * [0, n); a dropped lone trailing item sits out the epoch.
+ */
 std::vector<std::vector<std::size_t>>
 makeBatches(std::size_t n, std::size_t batch_size, Rng &rng);
 
@@ -117,11 +126,13 @@ class FitLoop
 
     /**
      * Up to @p epochs epochs on a cosine schedule of epochs x
-     * max(1, ceil(items / batch)) steps. Each epoch runs @p epoch_start
-     * (when set), the batches, then @p val_loss; an epoch improves when
-     * its validation loss is below the best by more than 1e-9, and the
-     * fit stops after @p patience epochs without improvement. The best
-     * epoch's parameters are restored at the end.
+     * max(1, batchCount(items, batch)) steps, one per batch that runs,
+     * so a fit that runs every epoch ends annealed. Each epoch runs
+     * @p epoch_start (when set), the batches, then @p val_loss; an
+     * epoch improves when its validation loss is below the best by
+     * more than 1e-9, and the fit stops after @p patience epochs
+     * without improvement. The best epoch's parameters are restored
+     * at the end.
      * @return the validation loss of every epoch run.
      */
     std::vector<double> fit(const FitNames &names, std::size_t epochs,

@@ -98,22 +98,4 @@ OpWorkload::outputElems() const
     return double(outH()) * double(outW()) * double(cout);
 }
 
-double
-totalFlops(const std::vector<OpWorkload> &net)
-{
-    double acc = 0.0;
-    for (const auto &op : net)
-        acc += op.flops();
-    return acc;
-}
-
-double
-totalParams(const std::vector<OpWorkload> &net)
-{
-    double acc = 0.0;
-    for (const auto &op : net)
-        acc += op.params();
-    return acc;
-}
-
 } // namespace hwpr::hw

@@ -71,11 +71,6 @@ struct OpWorkload
     }
 };
 
-/** Sum of FLOPs over a network. */
-double totalFlops(const std::vector<OpWorkload> &net);
-/** Sum of parameters over a network. */
-double totalParams(const std::vector<OpWorkload> &net);
-
 } // namespace hwpr::hw
 
 #endif // HWPR_HW_WORKLOAD_H

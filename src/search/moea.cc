@@ -19,6 +19,16 @@ namespace hwpr::search
 namespace
 {
 
+// Algorithm 1's operator rates (Sec. IV-C1).
+/** Probability that an offspring is mutated at all. */
+constexpr double kMutationRate = 0.9;
+/** Per-gene resampling probability of crossover and mutation. */
+constexpr double kPerGeneMutationRate = 0.15;
+/** Probability that an offspring is a crossover child. */
+constexpr double kCrossoverProb = 0.9;
+/** Candidates per parent tournament. */
+constexpr std::size_t kTournamentSize = 2;
+
 double
 nowSeconds()
 {
@@ -150,9 +160,9 @@ Moea::run(const SearchDomain &domain, Evaluator &evaluator, Rng &rng,
                {"max_generations", double(cfg_.maxGenerations)}});
 
     // Budget gate, checked BEFORE every charge so the accounted cost
-    // never exceeds the budget (shared semantics with RandomSearch
-    // and AgingEvolution; holds exactly for cost models that are pure
-    // in the batch size).
+    // never exceeds the budget (shared semantics with RandomSearch;
+    // holds exactly for cost models that are pure in the batch
+    // size).
     auto wouldExceed = [&](std::size_t batch) {
         return cfg_.simulatedBudgetSeconds > 0.0 &&
                result.stats.simulatedSeconds +
@@ -229,7 +239,7 @@ Moea::run(const SearchDomain &domain, Evaluator &evaluator, Rng &rng,
     };
     auto tournament = [&]() {
         std::size_t best = rng.index(pop.size());
-        for (std::size_t k = 1; k < cfg_.tournamentSize; ++k) {
+        for (std::size_t k = 1; k < kTournamentSize; ++k) {
             const std::size_t cand = rng.index(pop.size());
             if (better(cand, best))
                 best = cand;
@@ -257,13 +267,12 @@ Moea::run(const SearchDomain &domain, Evaluator &evaluator, Rng &rng,
             const std::size_t pa = tournament();
             const std::size_t pb = tournament();
             nasbench::Architecture child =
-                rng.uniform() < cfg_.crossoverProb
+                rng.uniform() < kCrossoverProb
                     ? domain.crossover(pop[pa], pop[pb],
-                                       cfg_.perGeneMutationRate, rng)
+                                       kPerGeneMutationRate, rng)
                     : pop[pa];
-            if (rng.uniform() < cfg_.mutationRate)
-                child = domain.mutate(
-                    child, cfg_.perGeneMutationRate, rng);
+            if (rng.uniform() < kMutationRate)
+                child = domain.mutate(child, kPerGeneMutationRate, rng);
             offspring.push_back(std::move(child));
         }
 
@@ -336,11 +345,9 @@ Moea::run(const SearchDomain &domain, Evaluator &evaluator, Rng &rng,
         if (obs::tracingEnabled())
             gen_span.arg("hypervolume",
                          traceHypervolume(fit, evaluator.kind()));
-        if (ckpt.every != 0 &&
-            result.stats.generations % ckpt.every == 0)
-            writeCheckpoint();
+        writeCheckpoint();
     }
-    // Final state (covers budget stops and every > 1 strides).
+    // Final state: records a budget stop.
     writeCheckpoint();
 
     result.population = std::move(pop);

@@ -37,12 +37,12 @@ struct SearchStats
     std::size_t generations = 0;
     /**
      * True when the simulated budget — not the evaluation/generation
-     * cap — stopped the search. Shared semantics across RandomSearch,
-     * Moea and AgingEvolution: every driver checks the budget before
-     * charging, so a budget-stopped run never accounts more simulated
-     * cost than the budget (a budget below even the first charge
-     * yields an empty, budget-stopped result), and the flag is false
-     * when the run completed its cap within budget.
+     * cap — stopped the search. Shared semantics across RandomSearch
+     * and Moea: both drivers check the budget before charging, so a
+     * budget-stopped run never accounts more simulated cost than the
+     * budget (a budget below even the first charge yields an empty,
+     * budget-stopped result), and the flag is false when the run
+     * completed its cap within budget.
      */
     bool stoppedByBudget = false;
 };
@@ -95,28 +95,23 @@ bool loadMoeaCheckpoint(const std::string &path, MoeaCheckpoint &ck);
 /** Crash-safety knobs for Moea::run. */
 struct CheckpointOptions
 {
-    /** Directory receiving "moea.ckpt"; empty disables
+    /** Directory receiving "moea.ckpt" after the initial population,
+     *  every generation and the final state; empty disables
      *  checkpointing. Must already exist. */
     std::string dir;
-    /** Write every N completed generations (the initial population
-     *  and the final state are always written). */
-    std::size_t every = 1;
     /** Resume from this snapshot instead of sampling a fresh
      *  population; nullptr starts from scratch. */
     const MoeaCheckpoint *resume = nullptr;
 };
 
-/** MOEA configuration (paper defaults, Sec. IV-C1). */
+/**
+ * MOEA configuration (paper defaults, Sec. IV-C1). The operator rates
+ * are Algorithm 1 constants (moea.cc).
+ */
 struct MoeaConfig
 {
     std::size_t populationSize = 150;
     std::size_t maxGenerations = 250;
-    /** Probability that an offspring is mutated at all (paper: 0.9). */
-    double mutationRate = 0.9;
-    /** Per-gene resampling probability once mutation applies. */
-    double perGeneMutationRate = 0.15;
-    double crossoverProb = 0.9;
-    std::size_t tournamentSize = 2;
     /** Simulated testbed budget (paper: 24 h); 0 disables. */
     double simulatedBudgetSeconds = 24.0 * 3600.0;
     /**
@@ -148,11 +143,11 @@ class Moea
     /**
      * Run with crash-safe checkpointing and/or resume. With a
      * checkpoint directory set, the search state lands on disk after
-     * the initial evaluation and after every @p ckpt.every
-     * generations, so a killed process can continue from the last
-     * completed generation; with @p ckpt.resume set, the run picks up
-     * from that snapshot (the evaluator and config must match the
-     * original run for the trajectory to be reproduced).
+     * the initial evaluation and after every generation, so a killed
+     * process can continue from the last completed generation; with
+     * @p ckpt.resume set, the run picks up from that snapshot (the
+     * evaluator and config must match the original run for the
+     * trajectory to be reproduced).
      */
     SearchResult run(const SearchDomain &domain, Evaluator &evaluator,
                      Rng &rng, const CheckpointOptions &ckpt) const;

@@ -31,20 +31,4 @@ rescoreFitness(SearchResult &result, Evaluator &eval)
     result.fitness = eval.evaluate(result.population);
 }
 
-std::vector<pareto::Point>
-trueFrontOf(const std::vector<nasbench::Architecture> &archs,
-            const nasbench::Oracle &oracle, hw::PlatformId platform,
-            bool include_energy)
-{
-    std::vector<pareto::Point> objectives;
-    objectives.reserve(archs.size());
-    for (const auto &arch : archs)
-        objectives.push_back(trueObjectives(oracle.record(arch),
-                                            platform, include_energy));
-    std::vector<pareto::Point> front;
-    for (std::size_t idx : pareto::nonDominatedIndices(objectives))
-        front.push_back(objectives[idx]);
-    return front;
-}
-
 } // namespace hwpr::search

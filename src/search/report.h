@@ -47,16 +47,6 @@ FrontReport measureFront(const SearchResult &result,
  */
 void rescoreFitness(SearchResult &result, Evaluator &eval);
 
-/**
- * True Pareto front of an entire (enumerable) space sample: measures
- * all given architectures and returns the non-dominated objective
- * vectors. Used as the "optimal Pareto front" reference of Fig. 6.
- */
-std::vector<pareto::Point>
-trueFrontOf(const std::vector<nasbench::Architecture> &archs,
-            const nasbench::Oracle &oracle, hw::PlatformId platform,
-            bool include_energy = false);
-
 } // namespace hwpr::search
 
 #endif // HWPR_SEARCH_REPORT_H

@@ -378,7 +378,6 @@ JobManager::runJob(const JobSpec &spec)
             std::min(spec.generations, done + 1);
         search::CheckpointOptions co;
         co.dir = dir;
-        co.every = 1;
         co.resume = have ? &ck : nullptr;
         res = search::Moea(mc).run(domain, eval, rng, co);
         done = res.stats.generations;

@@ -1,15 +1,14 @@
 /**
  * @file
- * Property tests for the shared search-budget contract across all
- * three drivers (RandomSearch, Moea, AgingEvolution): the budget is
- * checked before every charge, so the accounted simulated cost never
- * exceeds the budget; stoppedByBudget is set iff the budget (not the
- * cap) ended the run; a budget below even the first charge yields an
- * empty budget-stopped result; and same-seed runs are bit-identical.
+ * Property tests for the shared search-budget contract across both
+ * drivers (RandomSearch, Moea): the budget is checked before every
+ * charge, so the accounted simulated cost never exceeds the budget;
+ * stoppedByBudget is set iff the budget (not the cap) ended the run;
+ * a budget below even the first charge yields an empty budget-stopped
+ * result; and same-seed runs are bit-identical.
  *
- * These properties are what flushed out the AgingEvolution overshoot
- * (the seed population was charged before the budget check) and the
- * Moea post-charge budget test.
+ * These properties are what flushed out the Moea post-charge budget
+ * test.
  */
 
 #include <gtest/gtest.h>
@@ -21,7 +20,6 @@
 #include <vector>
 
 #include "common/prop.h"
-#include "search/aging.h"
 #include "search/moea.h"
 
 using namespace hwpr;
@@ -69,9 +67,9 @@ class ToyEvaluator : public Evaluator
 
 struct Scenario
 {
-    int driver = 0; // 0 random, 1 aging, 2 moea
+    int driver = 0; // 0 random, 1 moea
     int pop = 2;
-    int cap = 1;          // evals / extra evals / generations
+    int cap = 1;          // evals / generations
     int budget_units = 0; // budget = units * kCost / 2 (0 = disabled)
     std::uint64_t seed = 1;
 };
@@ -82,9 +80,9 @@ scenarioGen()
     prop::Gen<Scenario> g;
     g.sample = [](Rng &rng) {
         Scenario s;
-        s.driver = rng.intIn(0, 2);
+        s.driver = rng.intIn(0, 1);
         s.pop = rng.intIn(2, 5);
-        s.cap = rng.intIn(1, s.driver == 2 ? 5 : 16);
+        s.cap = rng.intIn(1, s.driver == 1 ? 5 : 16);
         s.budget_units = rng.intIn(0, 40);
         s.seed = std::uint64_t(rng.intIn(1, 1 << 20));
         return s;
@@ -148,18 +146,6 @@ runScenario(const Scenario &s)
         out.result = RandomSearch(cfg).run(domain, eval, rng);
         out.cap_count = cfg.budget;
         out.cap_reached = out.result.stats.evaluations == cfg.budget;
-    } else if (s.driver == 1) {
-        AgingConfig cfg;
-        cfg.populationSize = std::size_t(s.pop);
-        cfg.totalEvaluations = std::size_t(s.pop + s.cap);
-        cfg.sampleSize = 3;
-        cfg.keep = std::size_t(s.pop);
-        cfg.simulatedBudgetSeconds = budget;
-        out.result = AgingEvolution(cfg).run(domain, eval, rng);
-        out.cap_count = cfg.totalEvaluations;
-        out.seed_batch = cfg.populationSize;
-        out.cap_reached =
-            out.result.stats.evaluations == cfg.totalEvaluations;
     } else {
         MoeaConfig cfg;
         cfg.populationSize = std::size_t(s.pop);

@@ -527,9 +527,9 @@ TEST(SurrogateCheckpoint, OversizedShapesRejectedBeforeAllocation)
             w.writeU64(width);
             w.writeU64(1); // combinerHidden
             w.writeU64(8);
-            w.writeU64(1);     // useArchFeatures
+            w.writeU64(1);     // AF flag
             w.writeDouble(1.0); // rmseWeight
-            w.writeU64(0);     // sharedLatencyHead
+            w.writeU64(0);     // shared-head flag
             w.writeU64(0);     // dataset
             w.writeU64(0);     // platform
             for (std::size_t i = 0; i < 1 + hw::kNumPlatforms; ++i) {
@@ -746,6 +746,68 @@ TEST(SurrogateCheckpoint, TwoPredictorBaselineRejectsTreePredictors)
         ASSERT_TRUE(write(mlp, trees));
         EXPECT_EQ(core::loadSurrogate(path), nullptr);
     }
+    std::remove(path.c_str());
+}
+
+TEST(SurrogateCheckpoint, HwPrNasFlippedFlagWordsRejected)
+{
+    // HW-PR-NAS always concatenates AF with both encodings (flag word
+    // 1) and keeps one latency head per platform (shared-head word 0).
+    // A file with either word flipped is rejected; the same body
+    // re-saved unflipped is the control.
+    core::HwPrNasConfig mc;
+    mc.encoder = tinyEncoder();
+    core::HwPrNas model(mc, nasbench::DatasetId::Cifar10, 1);
+    core::TrainConfig tc;
+    tc.epochs = 1;
+    tc.combinerEpochs = 0;
+    model.setFitConfig(tc);
+    ExecContext ctx = ExecContext::global().withSeed(14);
+    model.fit(tinySurrogateData(), ctx);
+    const std::string path = tempPath("hwpr_ckpt_flags.bin");
+    ASSERT_TRUE(model.save(path));
+    const std::string saved = readFile(path);
+
+    std::string body;
+    ASSERT_TRUE(readVerified(path, body));
+    std::istringstream in(body, std::ios::binary);
+    BinaryReader r(in);
+    ASSERT_EQ(readHeader(r, "hwprnas"), 2u);
+    const std::size_t start = std::size_t(in.tellg());
+    core::EncoderConfig enc;
+    std::vector<std::size_t> widths;
+    core::readEncoderConfig(r, enc, false);
+    core::readWidths(r, widths); // headHidden
+    core::readWidths(r, widths); // combinerHidden
+    ASSERT_TRUE(r.ok());
+    // The AF word, rmseWeight, then the shared-head word.
+    const std::size_t af = std::size_t(in.tellg());
+    const std::size_t shared = af + 16;
+    auto wordAt = [&body](std::size_t pos) {
+        std::uint64_t v;
+        std::memcpy(&v, body.data() + pos, 8);
+        return v;
+    };
+    ASSERT_EQ(wordAt(af), 1u);
+    ASSERT_EQ(wordAt(shared), 0u);
+
+    // Every field after the header is 8-byte words: re-save them with
+    // the word at @p at replaced by @p value.
+    auto resave = [&](std::size_t at, std::uint64_t value) {
+        return atomicSave(path, [&](BinaryWriter &w) {
+            writeHeader(w, "hwprnas", 2);
+            for (std::size_t pos = start; pos + 8 <= body.size();
+                 pos += 8)
+                w.writeU64(pos == at ? value : wordAt(pos));
+        });
+    };
+    ASSERT_TRUE(resave(af, 1));
+    EXPECT_EQ(readFile(path), saved);
+    EXPECT_NE(core::HwPrNas::load(path), nullptr);
+    ASSERT_TRUE(resave(af, 0));
+    EXPECT_EQ(core::HwPrNas::load(path), nullptr);
+    ASSERT_TRUE(resave(shared, 1));
+    EXPECT_EQ(core::HwPrNas::load(path), nullptr);
     std::remove(path.c_str());
 }
 

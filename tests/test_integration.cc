@@ -2,9 +2,8 @@
  * @file
  * End-to-end integration tests: the full pipeline the examples and
  * benches exercise — oracle -> sampled dataset -> surrogate training
- * -> surrogate-guided search -> measured front — plus cross-component
- * combinations (memoized surrogate inside aging evolution, checkpoint
- * hand-off between training and search).
+ * -> surrogate-guided search -> measured front — plus the checkpoint
+ * hand-off between training and search.
  */
 
 #include <gtest/gtest.h>
@@ -13,10 +12,8 @@
 #include "common/stats.h"
 #include "core/hwprnas.h"
 #include "pareto/pareto.h"
-#include "search/aging.h"
 #include "search/moea.h"
 #include "search/report.h"
-#include "search/surrogate_evaluator.h"
 
 using namespace hwpr;
 
@@ -100,27 +97,6 @@ TEST(Integration, SurrogateGuidedSearchBeatsRandomSelection)
     // is "competitive with random selection", not strict dominance
     // (the full-budget comparison lives in bench_table3).
     EXPECT_GT(hv_guided, hv_random * 0.75);
-}
-
-TEST(Integration, MemoizedSurrogateInsideAgingEvolution)
-{
-    auto &p = pipeline();
-    core::SurrogateEvaluator inner(*p.model);
-    search::MemoizingEvaluator memo(inner);
-
-    search::AgingConfig ac;
-    ac.populationSize = 20;
-    ac.totalEvaluations = 120;
-    ac.keep = 20;
-    Rng rng(2);
-    const auto result = search::AgingEvolution(ac).run(
-        search::SearchDomain::unionBenchmarks(), memo, rng);
-    EXPECT_EQ(result.population.size(), 20u);
-    EXPECT_EQ(memo.uniqueEvaluations() + memo.hits(), 120u);
-
-    // Scores in the kept set are sorted descending (top-k contract).
-    for (std::size_t i = 1; i < result.fitness.size(); ++i)
-        EXPECT_GE(result.fitness[i - 1][0], result.fitness[i][0]);
 }
 
 TEST(Integration, CheckpointHandoffPreservesSearchOutcome)

@@ -26,7 +26,6 @@
 #include "nasbench/dataset.h"
 #include "nasbench/space.h"
 #include "search/moea.h"
-#include "search/surrogate_evaluator.h"
 
 using namespace hwpr;
 

@@ -9,11 +9,9 @@
 #include <gtest/gtest.h>
 
 #include "pareto/pareto.h"
-#include "search/aging.h"
 #include "search/domain.h"
 #include "search/moea.h"
 #include "search/report.h"
-#include "search/surrogate_evaluator.h"
 
 using namespace hwpr;
 using namespace hwpr::search;
@@ -54,6 +52,30 @@ class ToyEvaluator : public Evaluator
     }
 
     double costPerEval = 0.0;
+};
+
+/** Toy Pareto-score evaluator: score = number of conv3x3 genes, so
+ *  the optimum is the all-conv cell. */
+class ToyScoreEvaluator : public Evaluator
+{
+  public:
+    EvalKind kind() const override { return EvalKind::ParetoScore; }
+    std::string name() const override { return "toy-score"; }
+    std::size_t numObjectives() const override { return 1; }
+
+    std::vector<pareto::Point>
+    evaluate(const std::vector<nasbench::Architecture> &archs) override
+    {
+        std::vector<pareto::Point> out;
+        for (const auto &a : archs) {
+            double convs = 0.0;
+            for (int g : a.genome)
+                if (g == 3)
+                    convs += 1.0;
+            out.push_back({convs});
+        }
+        return out;
+    }
 };
 
 } // namespace
@@ -152,20 +174,7 @@ TEST(Moea, ImprovesOverRandomOnToyProblem)
 TEST(Moea, ScoreModeKeepsTopScores)
 {
     const auto domain = SearchDomain::single(nasbench::nasBench201());
-    // Score = number of conv3x3 genes: optimum is all-conv.
-    ParetoScoreEvaluator eval(
-        "toy-score",
-        [](const std::vector<nasbench::Architecture> &archs) {
-            std::vector<double> s;
-            for (const auto &a : archs) {
-                double convs = 0.0;
-                for (int g : a.genome)
-                    if (g == 3)
-                        convs += 1.0;
-                s.push_back(convs);
-            }
-            return s;
-        });
+    ToyScoreEvaluator eval;
     MoeaConfig mc;
     mc.populationSize = 24;
     mc.maxGenerations = 15;
@@ -280,246 +289,4 @@ TEST(Report, FrontIsNonDominatedSubset)
                 dominated = true;
         EXPECT_TRUE(dominated);
     }
-}
-
-TEST(Report, TrueFrontOfSample)
-{
-    nasbench::Oracle oracle(nasbench::DatasetId::Cifar10);
-    Rng rng(12);
-    std::vector<nasbench::Architecture> archs;
-    for (int i = 0; i < 40; ++i)
-        archs.push_back(nasbench::nasBench201().sample(rng));
-    const auto front =
-        trueFrontOf(archs, oracle, hw::PlatformId::Eyeriss);
-    EXPECT_FALSE(front.empty());
-    EXPECT_LE(front.size(), archs.size());
-}
-
-TEST(SurrogateEvaluators, VectorShapes)
-{
-    VectorSurrogateEvaluator eval(
-        "two-model",
-        {[](const std::vector<nasbench::Architecture> &archs) {
-             return std::vector<double>(archs.size(), 1.0);
-         },
-         [](const std::vector<nasbench::Architecture> &archs) {
-             return std::vector<double>(archs.size(), 2.0);
-         }});
-    EXPECT_EQ(eval.kind(), EvalKind::ObjectiveVector);
-    EXPECT_EQ(eval.numObjectives(), 2u);
-    Rng rng(13);
-    const auto pts =
-        eval.evaluate({nasbench::nasBench201().sample(rng)});
-    ASSERT_EQ(pts.size(), 1u);
-    EXPECT_DOUBLE_EQ(pts[0][0], 1.0);
-    EXPECT_DOUBLE_EQ(pts[0][1], 2.0);
-}
-
-TEST(AgingEvolutionTest, FindsOptimumOnToyScore)
-{
-    const auto domain = SearchDomain::single(nasbench::nasBench201());
-    ParetoScoreEvaluator eval(
-        "toy-score",
-        [](const std::vector<nasbench::Architecture> &archs) {
-            std::vector<double> s;
-            for (const auto &a : archs) {
-                double convs = 0.0;
-                for (int g : a.genome)
-                    if (g == 3)
-                        convs += 1.0;
-                s.push_back(convs);
-            }
-            return s;
-        });
-    AgingConfig ac;
-    ac.populationSize = 24;
-    ac.totalEvaluations = 400;
-    ac.keep = 10;
-    Rng rng(21);
-    const auto result = AgingEvolution(ac).run(domain, eval, rng);
-    ASSERT_EQ(result.population.size(), 10u);
-    EXPECT_DOUBLE_EQ(result.fitness[0][0], 6.0); // all-conv found
-    EXPECT_EQ(result.stats.evaluations, 400u);
-}
-
-TEST(AgingEvolutionTest, VectorModeKeepsFrontFirst)
-{
-    const auto domain = SearchDomain::single(nasbench::nasBench201());
-    ToyEvaluator toy;
-    AgingConfig ac;
-    ac.populationSize = 20;
-    ac.totalEvaluations = 200;
-    ac.keep = 30;
-    Rng rng(22);
-    const auto result = AgingEvolution(ac).run(domain, toy, rng);
-    EXPECT_EQ(result.population.size(), 30u);
-    // The kept set must contain the full first front of itself.
-    const auto ranks = pareto::paretoRanks(result.fitness);
-    EXPECT_EQ(ranks[0], 1);
-}
-
-TEST(AgingEvolutionTest, BudgetStops)
-{
-    const auto domain = SearchDomain::single(nasbench::fbnet());
-    ToyEvaluator toy;
-    toy.costPerEval = 50.0;
-    AgingConfig ac;
-    ac.populationSize = 10;
-    ac.totalEvaluations = 10000;
-    ac.simulatedBudgetSeconds = 1000.0;
-    Rng rng(23);
-    const auto result = AgingEvolution(ac).run(domain, toy, rng);
-    EXPECT_TRUE(result.stats.stoppedByBudget);
-    EXPECT_LT(result.stats.evaluations, 10000u);
-    // Seed (500s) + exactly 10 affordable children; the 11th charge
-    // would overshoot and must not be made.
-    EXPECT_EQ(result.stats.evaluations, 20u);
-    EXPECT_DOUBLE_EQ(result.stats.simulatedSeconds, 1000.0);
-}
-
-TEST(AgingEvolutionTest, BudgetExhaustedAtSeedReturnsEmpty)
-{
-    const auto domain = SearchDomain::single(nasbench::nasBench201());
-    ToyEvaluator toy;
-    toy.costPerEval = 100.0;
-    AgingConfig ac;
-    ac.populationSize = 10;
-    ac.totalEvaluations = 100;
-    ac.simulatedBudgetSeconds = 500.0; // seed alone would cost 1000
-    Rng rng(24);
-    const auto result = AgingEvolution(ac).run(domain, toy, rng);
-    // The seed population is not evaluated (and not charged) when the
-    // budget cannot fund it: same early-empty semantics as
-    // RandomSearch and Moea.
-    EXPECT_TRUE(result.stats.stoppedByBudget);
-    EXPECT_TRUE(result.population.empty());
-    EXPECT_EQ(result.stats.evaluations, 0u);
-    EXPECT_DOUBLE_EQ(result.stats.simulatedSeconds, 0.0);
-}
-
-TEST(AgingEvolutionTest, BudgetExhaustedMidLoopNeverOvershoots)
-{
-    const auto domain = SearchDomain::single(nasbench::nasBench201());
-    ToyEvaluator toy;
-    toy.costPerEval = 30.0;
-    AgingConfig ac;
-    ac.populationSize = 4;
-    ac.totalEvaluations = 1000;
-    ac.simulatedBudgetSeconds = 400.0; // seed 120 + 9 children = 390
-    Rng rng(25);
-    const auto result = AgingEvolution(ac).run(domain, toy, rng);
-    EXPECT_TRUE(result.stats.stoppedByBudget);
-    EXPECT_LE(result.stats.simulatedSeconds,
-              ac.simulatedBudgetSeconds);
-    EXPECT_EQ(result.stats.evaluations, 13u); // 4 seed + 9 children
-    EXPECT_DOUBLE_EQ(result.stats.simulatedSeconds, 390.0);
-}
-
-TEST(AgingEvolutionTest, KeepZeroKeepsWholeHistory)
-{
-    const auto domain = SearchDomain::single(nasbench::nasBench201());
-    ToyEvaluator toy;
-    AgingConfig ac;
-    ac.populationSize = 8;
-    ac.totalEvaluations = 40;
-    ac.keep = 0; // documented: whole history
-    Rng rng(26);
-    const auto result = AgingEvolution(ac).run(domain, toy, rng);
-    EXPECT_EQ(result.population.size(), 40u);
-    EXPECT_EQ(result.fitness.size(), 40u);
-}
-
-TEST(AgingEvolutionTest, KeepSmallerThanFrontTruncatesFront)
-{
-    const auto domain = SearchDomain::single(nasbench::nasBench201());
-    ToyEvaluator toy;
-    AgingConfig ac;
-    ac.populationSize = 16;
-    ac.totalEvaluations = 120;
-    ac.keep = 3; // well below the toy problem's first front
-    Rng rng(27);
-    const auto result = AgingEvolution(ac).run(domain, toy, rng);
-    ASSERT_EQ(result.population.size(), 3u);
-    // Every kept member comes from the history's first front, so the
-    // kept set must be mutually non-dominated.
-    for (const auto &a : result.fitness)
-        for (const auto &b : result.fitness)
-            if (&a != &b)
-                EXPECT_FALSE(pareto::dominates(a, b));
-}
-
-TEST(AgingEvolutionTest, SameSeedDeterministic)
-{
-    const auto domain = SearchDomain::unionBenchmarks();
-    ToyEvaluator toy1, toy2;
-    AgingConfig ac;
-    ac.populationSize = 12;
-    ac.totalEvaluations = 80;
-    ac.keep = 20;
-    Rng rng1(28), rng2(28);
-    const auto r1 = AgingEvolution(ac).run(domain, toy1, rng1);
-    const auto r2 = AgingEvolution(ac).run(domain, toy2, rng2);
-    ASSERT_EQ(r1.population.size(), r2.population.size());
-    for (std::size_t i = 0; i < r1.population.size(); ++i)
-        EXPECT_EQ(r1.population[i], r2.population[i]);
-    EXPECT_EQ(r1.stats.evaluations, r2.stats.evaluations);
-    EXPECT_EQ(r1.stats.generations, r2.stats.generations);
-}
-
-TEST(MemoizingEvaluatorTest, CachesRepeatEvaluations)
-{
-    int calls = 0;
-    ParetoScoreEvaluator inner(
-        "counted",
-        [&calls](const std::vector<nasbench::Architecture> &archs) {
-            calls += int(archs.size());
-            std::vector<double> s;
-            for (const auto &a : archs)
-                s.push_back(double(a.genome[0]));
-            return s;
-        });
-    MemoizingEvaluator memo(inner);
-
-    Rng rng(41);
-    const auto a = nasbench::nasBench201().sample(rng);
-    const auto b = nasbench::nasBench201().sample(rng);
-    const auto r1 = memo.evaluate({a, b});
-    EXPECT_EQ(calls, 2);
-    const auto r2 = memo.evaluate({a, b, a});
-    EXPECT_EQ(calls, 2); // all cached
-    EXPECT_EQ(r2[0], r1[0]);
-    EXPECT_EQ(r2[2], r1[0]);
-    EXPECT_EQ(memo.hits(), 3u);
-    EXPECT_EQ(memo.uniqueEvaluations(), 2u);
-}
-
-TEST(MemoizingEvaluatorTest, ChargesOnlyMisses)
-{
-    ToyEvaluator toy;
-    toy.costPerEval = 10.0;
-    MemoizingEvaluator memo(toy);
-    Rng rng(42);
-    const auto a = nasbench::nasBench201().sample(rng);
-    memo.evaluate({a});
-    EXPECT_DOUBLE_EQ(memo.simulatedCostSeconds(1), 10.0);
-    memo.evaluate({a});
-    EXPECT_DOUBLE_EQ(memo.simulatedCostSeconds(1), 0.0);
-}
-
-TEST(MemoizingEvaluatorTest, SpeedsUpMoeaWithoutChangingResult)
-{
-    const auto domain = SearchDomain::single(nasbench::nasBench201());
-    ToyEvaluator toy1, toy2;
-    MemoizingEvaluator memo(toy2);
-    MoeaConfig mc;
-    mc.populationSize = 20;
-    mc.maxGenerations = 10;
-    mc.simulatedBudgetSeconds = 0.0;
-    Rng rng1(43), rng2(43);
-    const auto plain = Moea(mc).run(domain, toy1, rng1);
-    const auto cached = Moea(mc).run(domain, memo, rng2);
-    ASSERT_EQ(plain.population.size(), cached.population.size());
-    for (std::size_t i = 0; i < plain.population.size(); ++i)
-        EXPECT_EQ(plain.population[i], cached.population[i]);
-    EXPECT_GT(memo.hits(), 0u);
 }

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -905,6 +906,20 @@ TEST(SurrogateIface, EvaluatorMatchesBatchMethods)
         ASSERT_EQ(pts[i].size(), 1u);
         EXPECT_DOUBLE_EQ(pts[i][0], scores(i, 0));
     }
+}
+
+TEST(SurrogateIface, EvaluatorIgnoresRankOnlyEnvironment)
+{
+    // Only `hwpr search` reads HWPR_RANK_ONLY, and it re-scores its
+    // final population in fp64. Every other evaluator scores in fp64
+    // until setRankOnly() says otherwise, so no caller reports an
+    // int8 number by accident.
+    baselines::LatencyLut lut(nasbench::DatasetId::Cifar10,
+                              hw::PlatformId::EdgeGpu);
+    ASSERT_EQ(setenv("HWPR_RANK_ONLY", "1", 1), 0);
+    core::SurrogateEvaluator eval(lut);
+    EXPECT_FALSE(eval.rankOnly());
+    unsetenv("HWPR_RANK_ONLY");
 }
 
 // ---------------------------------------------------------------------

@@ -335,6 +335,37 @@ TEST(FitLoop, EarlyStopRestoresTheBestEpoch)
     EXPECT_EQ(w.value()(0, 0), w_after[3]);
 }
 
+TEST(FitLoop, ScheduleSpansOnlyTheBatchesThatRun)
+{
+    // 129 items in batches of 128 run one batch per epoch (the lone
+    // trailing item is dropped), so four epochs are four steps and the
+    // cosine schedule must span exactly those. A loss with zero
+    // gradient leaves only AdamW's decoupled decay, which scales w by
+    // (1 - lr_t * wd) per step; validation improves every epoch, so
+    // the last epoch's w is kept.
+    const double lr = 0.5, wd = 0.25;
+    nn::Tensor w = nn::Tensor::param(Matrix(1, 1, 1.0), "w");
+    const core::FitNames names = {
+        "fit_schedule_test.epoch", "fit_schedule_test.epoch_us",
+        "fit_schedule_test.val_loss", "fit_schedule_test.early_stop"};
+    Rng rng(4);
+    core::FitLoop loop({w}, 129, lr, 128, rng, wd);
+    double val = 10.0;
+    const std::vector<double> history = loop.fit(
+        names, 4, 1,
+        [&](const std::vector<std::size_t> &) {
+            return nn::scale(w, 0.0);
+        },
+        [&] { return val -= 1.0; });
+    ASSERT_EQ(history.size(), 4u);
+
+    const nn::CosineAnnealing schedule(lr, 4);
+    double expected = 1.0;
+    for (std::size_t t = 0; t < 4; ++t)
+        expected *= 1.0 - schedule.at(t) * wd;
+    EXPECT_EQ(w.value()(0, 0), expected);
+}
+
 TEST(FitLoopDeathTest, ZeroBatchSizeIsAnError)
 {
     // The schedule length divides by the batch size; a zero must be a

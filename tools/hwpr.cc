@@ -15,8 +15,10 @@
  */
 
 #include <algorithm>
+#include <cstdlib>
 #include <filesystem>
 #include <iostream>
+#include <string_view>
 
 #include "argparse.h"
 
@@ -32,7 +34,6 @@
 #include "pareto/pareto.h"
 #include "search/moea.h"
 #include "search/report.h"
-#include "search/surrogate_evaluator.h"
 
 using namespace hwpr;
 using tools::Args;
@@ -313,6 +314,10 @@ cmdSearch(const Args &args)
               << nasbench::datasetName(model->dataset()) << std::endl;
 
     core::SurrogateEvaluator eval(*model);
+    // HWPR_RANK_ONLY: any value but "" / "0" enables rank-only mode.
+    const char *rank_only = std::getenv("HWPR_RANK_ONLY");
+    eval.setRankOnly(rank_only != nullptr && *rank_only != '\0' &&
+                     std::string_view(rank_only) != "0");
     if (eval.rankOnly())
         std::cout << "rank-only mode (HWPR_RANK_ONLY): generations "
                      "scored through the int8 fast path; final "
@@ -351,7 +356,6 @@ cmdSearch(const Args &args)
         // the final population in full fp64 (the front below is
         // oracle-measured either way).
         core::SurrogateEvaluator fp64_eval(*model);
-        fp64_eval.setRankOnly(false);
         search::rescoreFitness(result, fp64_eval);
     }
 
