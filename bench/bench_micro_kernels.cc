@@ -14,13 +14,14 @@
  * the grid (mlp + gemm only, batch 1/1024, 0.05 s budget) for CI
  * smoke jobs.
  *
- * `--quant-json[=FILE]` sweeps the int8 rank-only fast path instead
- * (default BENCH_quant.json): every family's warm rankBatch vs fp64
- * predictBatch ops/s at batch=256 on one thread, plus the int8-vs-fp64
- * Kendall tau on seeded NB201-only and FBNet-only pools. CI gates
- * tau >= 0.98 for every family and >= 2x speedup for the MLP-backed
- * ones. Unlike --batch-json, --quick still fits all families (the tau
- * gates need them) and only shrinks pools and timing budgets.
+ * `--quant-json[=FILE]` sweeps the rank path instead (default
+ * BENCH_quant.json): every family's warm rankBatch vs predictBatch
+ * ops/s at batch=256 on one thread, plus the rank-vs-predict Kendall
+ * tau on seeded NB201-only and FBNet-only pools. CI gates tau == 1
+ * for every family (the two passes return the same bits) and >= 2x
+ * speedup for the MLP-backed ones. Unlike --batch-json, --quick still
+ * fits all families (the tau gates need them) and only shrinks pools
+ * and timing budgets.
  */
 
 #include <benchmark/benchmark.h>
@@ -511,19 +512,19 @@ emitBatchJson(const std::string &path, bool quick)
 }
 
 // ---------------------------------------------------------------------
-// --quant-json mode: int8 rank path vs fp64, throughput + rank fidelity
+// --quant-json mode: rank path vs predict, throughput + rank agreement
 // ---------------------------------------------------------------------
 
-/** Min over output columns of the int8-vs-fp64 Kendall tau. */
+/** Min over output columns of the rank-vs-predict Kendall tau. */
 double
-minColumnTau(const Matrix &fp64, const Matrix &int8)
+minColumnTau(const Matrix &predict, const Matrix &rank)
 {
     double mn = 1.0;
-    std::vector<double> x(fp64.rows()), y(fp64.rows());
-    for (std::size_t c = 0; c < fp64.cols(); ++c) {
-        for (std::size_t r = 0; r < fp64.rows(); ++r) {
-            x[r] = fp64(r, c);
-            y[r] = int8(r, c);
+    std::vector<double> x(predict.rows()), y(predict.rows());
+    for (std::size_t c = 0; c < predict.cols(); ++c) {
+        for (std::size_t r = 0; r < predict.rows(); ++r) {
+            x[r] = predict(r, c);
+            y[r] = rank(r, c);
         }
         mn = std::min(mn, kendallTau(x, y));
     }
@@ -571,7 +572,7 @@ emitQuantJson(const std::string &path, bool quick)
     }
     out << "{\n  \"bench\": \"bench_micro_kernels --quant-json\",\n"
         << "  \"meta\": " << obs::runMetaJson("  ") << ",\n"
-        << "  \"note\": \"int8 ops/s measured warm: encodings are "
+        << "  \"note\": \"rank ops/s measured warm: encodings are "
            "memoized after the first rankBatch pass, which is the "
            "steady-state regime of a search loop re-scoring stable "
            "populations\",\n"
@@ -581,24 +582,22 @@ emitQuantJson(const std::string &path, bool quick)
     for (auto &fam : families) {
         const std::string family =
             fam.kernel.substr(0, fam.kernel.find("_predict_batch"));
-        // "mlp_backed" marks families whose rank path is the int8
-        // quantized head (the 2x CI gate). The LUT has no MLP at all;
-        // the dominance classifier keeps its head in fp64 on purpose
-        // (two tiny GEMMs over the anchors — the encoder dominates,
-        // so rankBatch is bit-identical to predictBatch and its
-        // speedup comes from encoding memoization alone).
+        // "mlp_backed" marks families whose declared MLP heads run
+        // over cached encodings on the rank path (the 2x CI gate).
+        // The LUT has no MLP at all, and the dominance head is not
+        // declared: its chunk body runs it over the differences to
+        // its anchors.
         const bool mlp_backed =
             family != "lut" && family != "dominance";
 
-        // Rank fidelity per space: fp64 and int8 run through separate
+        // Rank agreement per space: the passes run through separate
         // plans so both outputs stay live for the comparison.
-        core::BatchPlan fp64_plan, int8_plan;
+        core::BatchPlan predict_plan, rank_plan;
         const auto tau_for =
             [&](const std::vector<nasbench::Architecture> &archs) {
                 const Matrix &f =
-                    fam.model->predictBatch(archs, fp64_plan);
-                const Matrix &q =
-                    fam.model->rankBatch(archs, int8_plan);
+                    fam.model->predictBatch(archs, predict_plan);
+                const Matrix &q = fam.model->rankBatch(archs, rank_plan);
                 return minColumnTau(f, q);
             };
         const double tau_nb201 = tau_for(nb201_pool);
@@ -611,29 +610,29 @@ emitQuantJson(const std::string &path, bool quick)
         const double fp64_spc = secondsPerCall(
             [&] {
                 benchmark::DoNotOptimize(
-                    fam.model->predictBatch(archs, fp64_plan).data());
+                    fam.model->predictBatch(archs, predict_plan).data());
             },
             budget);
-        const double int8_spc = secondsPerCall(
+        const double rank_spc = secondsPerCall(
             [&] {
                 benchmark::DoNotOptimize(
-                    fam.model->rankBatch(archs, int8_plan).data());
+                    fam.model->rankBatch(archs, rank_plan).data());
             },
             budget);
         const double fp64_ops = double(batch) / fp64_spc;
-        const double int8_ops = double(batch) / int8_spc;
+        const double rank_ops = double(batch) / rank_spc;
 
         out << (first ? "" : ",") << "\n    {\"family\": \"" << family
             << "\", \"batch\": " << batch << ", \"threads\": 1"
             << ", \"fp64_ops_per_sec\": " << fp64_ops
-            << ", \"int8_ops_per_sec\": " << int8_ops
-            << ", \"speedup\": " << int8_ops / fp64_ops
+            << ", \"rank_ops_per_sec\": " << rank_ops
+            << ", \"speedup\": " << rank_ops / fp64_ops
             << ", \"tau_nb201\": " << tau_nb201
             << ", \"tau_fbnet\": " << tau_fbnet << ", \"mlp_backed\": "
             << (mlp_backed ? "true" : "false") << "}";
         first = false;
-        std::cout << family << ": fp64 " << fp64_ops << " ops/s, int8 "
-                  << int8_ops << " ops/s (" << int8_ops / fp64_ops
+        std::cout << family << ": fp64 " << fp64_ops << " ops/s, rank "
+                  << rank_ops << " ops/s (" << rank_ops / fp64_ops
                   << "x), tau nb201=" << tau_nb201
                   << " fbnet=" << tau_fbnet << "\n";
     }

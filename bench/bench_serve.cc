@@ -18,8 +18,7 @@
  * all of a client's requests carry the same architectures. Every rank
  * request after a client's first therefore hits the rank cache (the
  * encoder is skipped, and the rank rows measure framing, queueing and
- * the int8 heads), while every predict request runs the full fp64
- * pass.
+ * the heads), while every predict request runs the full fp64 pass.
  *
  * Every closed-loop scenario runs twice: once against the batched
  * server (256-arch / 1 ms micro-batches with quiet-poll natural
@@ -396,8 +395,8 @@ main(int argc, char **argv)
     ExecContext ctx = ExecContext::global().withSeed(7);
     model.fit(ds, ctx);
 
-    // Warm the rank fast path (freezes int8 state, fills the
-    // encoding cache) so both servers measure steady-state serving.
+    // Warm the rank path (fills the encoding cache) so both servers
+    // measure steady-state serving.
     {
         std::vector<nasbench::Architecture> warm;
         for (int i = 0; i < 64; ++i)

@@ -90,6 +90,9 @@ class LatencyLut : public core::Surrogate
      * corruption or format mismatch.
      */
     static std::unique_ptr<LatencyLut> load(const std::string &path);
+    /** load() of a body readVerified() returned. */
+    static std::unique_ptr<LatencyLut>
+    fromVerified(const std::string &body);
 
   protected:
     /**

@@ -18,14 +18,15 @@ registerBaselineLoaders()
              {&kBrpNasMethod, &kGatesMethod})
             core::registerSurrogateLoader(
                 method->kind,
-                [method](const std::string &path)
+                [method](const std::string &body)
                     -> std::unique_ptr<core::Surrogate> {
-                    return TwoSurrogateBaseline::load(path, *method);
+                    return TwoSurrogateBaseline::fromVerified(body,
+                                                              *method);
                 });
         core::registerSurrogateLoader(
             "lut",
-            [](const std::string &path) -> std::unique_ptr<core::Surrogate> {
-                return LatencyLut::load(path);
+            [](const std::string &body) -> std::unique_ptr<core::Surrogate> {
+                return LatencyLut::fromVerified(body);
             });
     });
 }

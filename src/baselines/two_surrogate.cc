@@ -134,8 +134,14 @@ TwoSurrogateBaseline::load(const std::string &path,
                            const TwoSurrogateMethod &method)
 {
     std::string body;
-    if (!readVerified(path, body))
-        return nullptr;
+    return readVerified(path, body) ? fromVerified(body, method)
+                                    : nullptr;
+}
+
+std::unique_ptr<TwoSurrogateBaseline>
+TwoSurrogateBaseline::fromVerified(const std::string &body,
+                                   const TwoSurrogateMethod &method)
+{
     std::istringstream in(body, std::ios::binary);
     BinaryReader r(in);
     if (readHeader(r, method.kind) != 1)

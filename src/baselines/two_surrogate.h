@@ -99,6 +99,10 @@ class TwoSurrogateBaseline : public core::Surrogate
      */
     static std::unique_ptr<TwoSurrogateBaseline>
     load(const std::string &path, const TwoSurrogateMethod &method);
+    /** load() of a body readVerified() returned. */
+    static std::unique_ptr<TwoSurrogateBaseline>
+    fromVerified(const std::string &body,
+                 const TwoSurrogateMethod &method);
 
   protected:
     /**

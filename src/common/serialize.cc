@@ -363,8 +363,12 @@ std::string
 checkpointKind(const std::string &path)
 {
     std::string body;
-    if (!readVerified(path, body))
-        return {};
+    return readVerified(path, body) ? checkpointKindOf(body) : "";
+}
+
+std::string
+checkpointKindOf(const std::string &body)
+{
     std::istringstream in(body, std::ios::binary);
     BinaryReader r(in);
     if (r.readU64() != kMagic)

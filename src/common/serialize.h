@@ -104,8 +104,14 @@ bool atomicSave(const std::string &path,
 bool readVerified(const std::string &path, std::string &body);
 
 /**
- * Header kind of a verified checkpoint ("hwprnas", "moea", ...), or
- * "" when the file is corrupt or not a checkpoint.
+ * Header kind of a body readVerified() returned ("hwprnas",
+ * "moea-checkpoint", ...), or "" when it has no checkpoint header.
+ */
+std::string checkpointKindOf(const std::string &body);
+
+/**
+ * checkpointKindOf() the verified body of @p path, or "" when the
+ * file is corrupt or not a checkpoint.
  */
 std::string checkpointKind(const std::string &path);
 

@@ -141,6 +141,9 @@ class DominanceSurrogate : public Surrogate
     /** Restore from a checkpoint; nullptr on mismatch. */
     static std::unique_ptr<DominanceSurrogate>
     load(const std::string &path);
+    /** load() of a body readVerified() returned. */
+    static std::unique_ptr<DominanceSurrogate>
+    fromVerified(const std::string &body);
 
   protected:
     /**

@@ -182,13 +182,14 @@ class HwPrNas : public Surrogate
      * nullptr on corruption, format or shape mismatch.
      */
     static std::unique_ptr<HwPrNas> load(const std::string &path);
+    /** load() of a body readVerified() returned. */
+    static std::unique_ptr<HwPrNas>
+    fromVerified(const std::string &body);
 
   protected:
     /**
      * Accuracy and active latency head over their trunks, then the
-     * combiner over the two branch outputs: one score per row. On
-     * rankBatch() the heads and combiner run int8 (Kendall tau gated
-     * >= 0.98 in CI).
+     * combiner over the two branch outputs: one score per row.
      */
     void chunk(const ChunkPass &pass, Matrix &out) const override;
 

@@ -1,17 +1,16 @@
 /**
  * @file
- * Frozen-encoder memoization for the rank-only fast path.
+ * Frozen-encoder memoization for the rank pass.
  *
  * After a surrogate is fitted its encoder weights never change, so an
  * architecture's encoding is a pure function of the architecture. The
- * rank path exploits that: EncodingCache memoizes encoding rows by
- * architecture hash, and gatherEncodings() fills a chunk's encoding
- * matrix from the cache, batch-encoding only the misses. In the
- * steady state of a search — populations overlap heavily from
- * generation to generation, and selection re-scores survivors every
- * round — almost every row is a hit, which is what lets the int8 head
- * path clear 2x over fp64 end to end (the encoder dominates a cold
- * fp64 pass; see DESIGN.md "Quantized rank path").
+ * rank pass (Surrogate::rankBatch) exploits that: EncodingCache
+ * memoizes encoding rows by architecture hash, and gatherEncodings()
+ * fills a chunk's encoding matrix from the cache, batch-encoding only
+ * the misses. The heads then run the same fp64 kernels as the predict
+ * pass, so a warm rank pass skips the encoder, which dominates a cold
+ * fp64 pass, and still returns predictBatch's bits (see DESIGN.md
+ * "Rank path").
  *
  * Determinism: cached rows are bitwise identical to freshly encoded
  * ones (encodeBatchInto is bit-identical across batch compositions —
@@ -27,7 +26,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <span>
@@ -166,47 +164,6 @@ class EncodingCache
     mutable std::atomic<std::uint64_t> misses_{0};
     std::atomic<std::uint64_t> evictions_{0};
     mutable std::atomic<std::uint64_t> collisions_{0};
-};
-
-/**
- * Lazily frozen rank-path state (quantized heads, encoding memos):
- * built by the first rankBatch() after training, dropped by the next
- * train. Concurrent const callers may race the freeze: the first
- * builds under the mutex and publishes with release, later calls take
- * the acquire fast path. reset() must not race get().
- */
-template <typename State>
-class RankFreeze
-{
-  public:
-    /** The frozen state; @p build returns a fresh unique_ptr<State>
-     *  when none is published yet. */
-    template <typename Build>
-    State &
-    get(Build &&build) const
-    {
-        if (!frozen_.load(std::memory_order_acquire)) {
-            std::lock_guard<std::mutex> lock(mu_);
-            if (!frozen_.load(std::memory_order_relaxed)) {
-                state_ = build();
-                frozen_.store(true, std::memory_order_release);
-            }
-        }
-        return *state_;
-    }
-
-    /** Drop the frozen state (training invalidates it). */
-    void
-    reset()
-    {
-        frozen_.store(false);
-        state_.reset();
-    }
-
-  private:
-    mutable std::unique_ptr<State> state_;
-    mutable std::mutex mu_;
-    mutable std::atomic<bool> frozen_{false};
 };
 
 /**

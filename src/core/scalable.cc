@@ -60,8 +60,13 @@ std::unique_ptr<ScalableHwPrNas>
 ScalableHwPrNas::load(const std::string &path)
 {
     std::string body;
-    if (!readVerified(path, body))
-        return nullptr;
+    return readVerified(path, body) ? fromVerified(body)
+                                    : nullptr;
+}
+
+std::unique_ptr<ScalableHwPrNas>
+ScalableHwPrNas::fromVerified(const std::string &body)
+{
     std::istringstream in(body, std::ios::binary);
     BinaryReader r(in);
     if (readHeader(r, "hwpr-scalable") != 1)

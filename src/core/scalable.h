@@ -93,10 +93,13 @@ class ScalableHwPrNas : public Surrogate
     /** Restore from a checkpoint; nullptr on mismatch. */
     static std::unique_ptr<ScalableHwPrNas>
     load(const std::string &path);
+    /** load() of a body readVerified() returned. */
+    static std::unique_ptr<ScalableHwPrNas>
+    fromVerified(const std::string &body);
 
   protected:
     /** The score MLP over the concatenated encoding: one score per
-     *  row (int8 on rankBatch()). */
+     *  row. */
     void chunk(const ChunkPass &pass, Matrix &out) const override;
 
   private:

@@ -1,28 +1,17 @@
 #include "core/surrogate.h"
 
-#include <algorithm>
 #include <map>
 #include <mutex>
 
 #include "common/logging.h"
 #include "common/obs.h"
 #include "common/serialize.h"
-#include "common/stats.h"
 #include "core/dominance.h"
 #include "core/hwprnas.h"
 #include "core/scalable.h"
-#include "nn/quant.h"
 
 namespace hwpr::core
 {
-
-struct RankState
-{
-    explicit RankState(std::size_t trunks) : caches(trunks) {}
-
-    std::vector<EncodingCache> caches;
-    std::vector<nn::QuantizedMlp> heads;
-};
 
 const Matrix &
 ChunkPass::encode(std::size_t t) const
@@ -30,7 +19,7 @@ ChunkPass::encode(std::size_t t) const
     const ArchEncoder &trunk = *model_.trunks_[t];
     if (!rank_)
         return trunk.encodeBatchInto(archs, scratch);
-    EncodingCache &cache = rank_->caches[t];
+    EncodingCache &cache = model_.caches_[t];
     Matrix &enc = scratch.acquire(archs.size(), cache.width());
     gatherEncodings(trunk, archs, cache, scratch, enc);
     return enc;
@@ -39,14 +28,8 @@ ChunkPass::encode(std::size_t t) const
 void
 ChunkPass::head(std::size_t h, const Matrix &in, Matrix &out) const
 {
-    if (rank_)
-        rank_->heads[h].predictBatchInto(in, scratch, out);
-    else
-        model_.heads_[h]->predictBatchInto(in, scratch, out);
+    model_.heads_[h]->predictBatchInto(in, scratch, out);
 }
-
-TrunkHeads::TrunkHeads() = default;
-TrunkHeads::~TrunkHeads() = default;
 
 void
 TrunkHeads::declare(std::vector<const ArchEncoder *> trunks,
@@ -54,12 +37,15 @@ TrunkHeads::declare(std::vector<const ArchEncoder *> trunks,
 {
     trunks_ = std::move(trunks);
     heads_ = std::move(heads);
+    caches_ = std::vector<EncodingCache>(trunks_.size());
+    invalidate();
 }
 
 void
 TrunkHeads::invalidate()
 {
-    rank_.reset();
+    for (std::size_t t = 0; t < trunks_.size(); ++t)
+        caches_[t].init(trunks_[t]->dim());
 }
 
 const Matrix &
@@ -69,27 +55,16 @@ TrunkHeads::run(const char *family, bool rank,
                 const ChunkBody &body) const
 {
     Matrix &out = plan.prepare(archs.size(), cols);
-    RankState *state = nullptr;
-    if (rank)
-        state = &rank_.get([this] {
-            auto frozen = std::make_unique<RankState>(trunks_.size());
-            for (std::size_t t = 0; t < trunks_.size(); ++t)
-                frozen->caches[t].init(trunks_[t]->dim());
-            frozen->heads.reserve(heads_.size());
-            for (const nn::Mlp *h : heads_)
-                frozen->heads.emplace_back(*h);
-            return frozen;
-        });
     // The chunk lambda captures one reference, which std::function
     // stores inline: no allocation per pass.
     const struct
     {
         const TrunkHeads *model;
-        RankState *rank;
+        bool rank;
         std::span<const nasbench::Architecture> archs;
         Matrix *out;
         const ChunkBody *body;
-    } pass{this, state, archs, &out, &body};
+    } pass{this, rank, archs, &out, &body};
     plan.forEachChunk(
         family, [&pass](nn::PredictScratch &s, std::size_t i0,
                         std::size_t i1) {
@@ -163,43 +138,6 @@ SurrogateEvaluator::SurrogateEvaluator(const Surrogate &model,
 {
 }
 
-const Matrix &
-SurrogateEvaluator::rankPredict(
-    const std::vector<nasbench::Architecture> &archs)
-{
-    if (obs::metricsEnabled()) {
-        static obs::Counter &rank_rows =
-            obs::Registry::global().counter("predict.rank_only");
-        rank_rows.add(archs.size());
-
-        // One-shot self-check: the first rank-only batch also runs
-        // the fp64 path and gauges the observed Kendall tau per
-        // family, so a drifting quantization shows up on the metrics
-        // surface of any long-running consumer (search, serve).
-        if (!tauSelfChecked_ && archs.size() >= 2) {
-            tauSelfChecked_ = true;
-            BatchPlan ref_plan;
-            const Matrix &ref =
-                model_.predictBatch(archs, ref_plan);
-            const Matrix &q = model_.rankBatch(archs, plan_);
-            double min_tau = 1.0;
-            std::vector<double> a(q.rows()), b(q.rows());
-            for (std::size_t j = 0; j < q.cols(); ++j) {
-                for (std::size_t i = 0; i < q.rows(); ++i) {
-                    a[i] = ref(i, j);
-                    b[i] = q(i, j);
-                }
-                min_tau = std::min(min_tau, kendallTau(a, b));
-            }
-            obs::Registry::global()
-                .gauge("predict.tau_int8." + model_.familyLabel())
-                .set(min_tau);
-            return q;
-        }
-    }
-    return model_.rankBatch(archs, plan_);
-}
-
 std::vector<double>
 SurrogateEvaluator::predictedDominanceCounts(
     const std::vector<nasbench::Architecture> &archs)
@@ -211,11 +149,15 @@ std::vector<pareto::Point>
 SurrogateEvaluator::evaluate(
     const std::vector<nasbench::Architecture> &archs)
 {
+    if (rankOnly_ && obs::metricsEnabled()) {
+        static obs::Counter &rank_rows =
+            obs::Registry::global().counter("predict.rank_only");
+        rank_rows.add(archs.size());
+    }
     std::vector<pareto::Point> out;
     out.reserve(archs.size());
-    const Matrix &pred = rankOnly_
-                             ? rankPredict(archs)
-                             : model_.predictBatch(archs, plan_);
+    const Matrix &pred = rankOnly_ ? model_.rankBatch(archs, plan_)
+                                   : model_.predictBatch(archs, plan_);
     for (std::size_t i = 0; i < pred.rows(); ++i) {
         pareto::Point p(pred.cols(), 0.0);
         for (std::size_t j = 0; j < pred.cols(); ++j)
@@ -254,15 +196,16 @@ registerSurrogateLoader(const std::string &kind, SurrogateLoader loader)
 std::unique_ptr<Surrogate>
 loadSurrogate(const std::string &path)
 {
-    const std::string kind = checkpointKind(path);
-    if (kind.empty())
-        return nullptr; // missing, corrupt or not a checkpoint
+    std::string body;
+    if (!readVerified(path, body))
+        return nullptr; // missing or corrupt
+    const std::string kind = checkpointKindOf(body);
     if (kind == "hwprnas")
-        return HwPrNas::load(path);
+        return HwPrNas::fromVerified(body);
     if (kind == "hwpr-scalable")
-        return ScalableHwPrNas::load(path);
+        return ScalableHwPrNas::fromVerified(body);
     if (kind == "dominance")
-        return DominanceSurrogate::load(path);
+        return DominanceSurrogate::fromVerified(body);
 
     SurrogateLoader loader;
     {
@@ -272,7 +215,7 @@ loadSurrogate(const std::string &path)
             return nullptr;
         loader = it->second;
     }
-    return loader(path);
+    return loader(body);
 }
 
 } // namespace hwpr::core

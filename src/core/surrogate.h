@@ -13,13 +13,13 @@
  * through a `ChunkPass`. The base class owns everything else: the
  * inference contract (empty-batch no-op, trained check, output shape,
  * predict instrumentation) and the chunk loop of both predictBatch()
- * and rankBatch(). On the predict pass a chunk body's trunks and heads
- * run the fp64 kernels; on the rank pass the base serves trunk rows
- * from a frozen `EncodingCache` per trunk and runs heads as
- * `QuantizedMlp`s, state it freezes lazily and every training call
- * drops. Chunks fan out over the ExecContext thread pool; their
- * boundaries depend only on the batch size, so results are
- * bit-identical at every thread count.
+ * and rankBatch(). Both passes run the declared heads in fp64; the
+ * rank pass serves trunk rows from one `EncodingCache` per trunk,
+ * which every training call clears, so rankBatch() returns
+ * predictBatch()'s bits faster on architectures it has seen. Chunks
+ * fan out over the ExecContext thread pool; their boundaries depend
+ * only on the batch size, so results are bit-identical at every
+ * thread count.
  *
  * `SurrogateEvaluator` adapts a fitted surrogate to the search layer's
  * `search::Evaluator` so MOEA / random search can consume populations
@@ -57,18 +57,15 @@ struct SurrogateDataset
     hw::PlatformId platform = hw::PlatformId::EdgeGpu;
 };
 
-/** Frozen rank state: one cache per trunk, one int8 head per head. */
-struct RankState;
 class TrunkHeads;
 
 /**
  * One chunk of a predict or rank pass, as a chunk body sees it. The
- * body encodes trunks and applies heads through encode() and head():
- * on a predict pass they run the fp64 kernels (encodeBatchInto,
- * Mlp::predictBatchInto), on a rank pass the frozen rank state
- * (gatherEncodings over the trunk's EncodingCache,
- * QuantizedMlp::predictBatchInto). A body that works through them
- * cannot tell which pass is running.
+ * body encodes trunks and applies heads through encode() and head().
+ * Heads always run Mlp::predictBatchInto; encode() runs
+ * encodeBatchInto on a predict pass and gatherEncodings over the
+ * trunk's EncodingCache on a rank pass. Both yield the same bits, so
+ * a body that works through them cannot tell which pass is running.
  */
 class ChunkPass
 {
@@ -93,20 +90,20 @@ class ChunkPass
     void head(std::size_t h, const Matrix &in, Matrix &out) const;
 
     /** Whether this is a rank pass. Only the LUT's own memo asks. */
-    bool ranking() const { return rank_ != nullptr; }
+    bool ranking() const { return rank_; }
 
   private:
     friend class TrunkHeads;
     ChunkPass(std::span<const nasbench::Architecture> chunk,
               std::size_t first_row, nn::PredictScratch &s,
-              const TrunkHeads &model, RankState *rank)
+              const TrunkHeads &model, bool rank)
         : archs(chunk), row0(first_row), scratch(s), model_(model),
           rank_(rank)
     {
     }
 
     const TrunkHeads &model_;
-    RankState *rank_;
+    bool rank_;
 };
 
 /** A chunk body: fill rows pass.row0.. of the pass output. */
@@ -114,34 +111,31 @@ using ChunkBody = std::function<void(const ChunkPass &, Matrix &)>;
 
 /**
  * The encoder trunks and MLP heads of a model, declared once when it
- * is built or loaded, and the passes over them. A rank pass freezes
- * the rank state lazily in one RankFreeze: an EncodingCache per trunk
- * and an int8 QuantizedMlp per declared head. Heads a body runs
- * directly (the dominance head) are not declared and stay fp64.
+ * is built or loaded, the rank pass's EncodingCache per trunk, and the
+ * passes over them.
  */
 class TrunkHeads
 {
   public:
-    TrunkHeads();
-    /** Out of line: RankState is incomplete here. */
-    ~TrunkHeads();
-
     /**
      * Declare the trunks and heads; chunk bodies address them by
-     * index. The pointees must outlive every pass. Does not drop the
-     * rank state: training calls invalidate() when they are done.
+     * index. The pointees must outlive every pass. Gives each trunk
+     * an empty cache of its width.
      */
     void declare(std::vector<const ArchEncoder *> trunks,
                  std::vector<const nn::Mlp *> heads);
 
-    /** Drop the frozen rank state (every training call). */
+    /**
+     * Clear the encoding caches. Every training call ends so, since
+     * the trunk weights may have changed; it must not race a pass.
+     */
     void invalidate();
 
     /**
      * Prepare @p plan's (archs.size() x cols) output and run @p body
      * on every chunk under the forEachChunk family @p family. With
-     * @p rank the chunks see the rank state, frozen first if none is
-     * published. Returns the output.
+     * @p rank the chunks encode through the caches. Returns the
+     * output.
      */
     const Matrix &run(const char *family, bool rank,
                       std::span<const nasbench::Architecture> archs,
@@ -152,7 +146,8 @@ class TrunkHeads
     friend class ChunkPass;
     std::vector<const ArchEncoder *> trunks_;
     std::vector<const nn::Mlp *> heads_;
-    RankFreeze<RankState> rank_;
+    /** Filled by const rank passes; each cache locks itself. */
+    mutable std::vector<EncodingCache> caches_;
 };
 
 /**
@@ -205,14 +200,10 @@ class Surrogate
                  BatchPlan &plan) const;
 
     /**
-     * Rank-only batched prediction: same output shape and the same
-     * *ordering* semantics as predictBatch, but values may be
-     * computed on a cheaper, lower-precision path (int8 heads, frozen
-     * encoder memoization). Callers that only compare rows —
-     * environmental selection, tournament picks — can use this;
-     * anything that reports absolute numbers must use predictBatch
-     * (or re-score, see DESIGN.md "Quantized rank path"). Rank
-     * agreement is gated at Kendall tau >= 0.98 vs fp64 in CI.
+     * predictBatch() through the encoding caches: the same bits, with
+     * trunk rows of architectures seen since the last training call
+     * copied rather than re-encoded (see DESIGN.md "Rank path").
+     * Uninstrumented; runs as the "<familyLabel>_rank" chunk family.
      */
     const Matrix &
     rankBatch(std::span<const nasbench::Architecture> archs,
@@ -223,7 +214,7 @@ class Surrogate
 
     /**
      * Short stable identifier used in metrics keys, e.g.
-     * "predict.tau_int8.<familyLabel>". It is the predict pass's
+     * "predict.ops_per_s.<familyLabel>". It is the predict pass's
      * forEachChunk family ("hwprnas", "scalable", "brpnas", "gates",
      * "lut", "dominance"); the rank pass runs as "<label>_rank".
      */
@@ -273,7 +264,7 @@ class Surrogate
         model_.declare(std::move(trunks), std::move(heads));
     }
 
-    /** Drop the frozen rank state; every training call ends so. */
+    /** Clear the rank caches; every training call ends so. */
     void invalidateRank() { model_.invalidate(); }
 
     /**
@@ -333,11 +324,9 @@ class SurrogateEvaluator : public search::Evaluator
     }
 
     /**
-     * Route evaluations through Surrogate::rankBatch (the quantized
-     * rank-only fast path) instead of predictBatch. Selection then
-     * runs on approximate scores; any *reported* front must be
-     * re-scored in fp64 (search::rescoreFitness does this, and
-     * `hwpr search` applies it automatically).
+     * Route evaluations through Surrogate::rankBatch instead of
+     * predictBatch: the same scores, through the encoding caches.
+     * Each rank-only row bumps the "predict.rank_only" counter.
      */
     void setRankOnly(bool on) { rankOnly_ = on; }
     bool rankOnly() const { return rankOnly_; }
@@ -358,10 +347,6 @@ class SurrogateEvaluator : public search::Evaluator
         const std::vector<nasbench::Architecture> &archs) override;
 
   private:
-    /** rankBatch + rank_only counter + one-shot tau self-check. */
-    const Matrix &
-    rankPredict(const std::vector<nasbench::Architecture> &archs);
-
     const Surrogate &model_;
     /**
      * One plan per search, reused across generations: population
@@ -373,13 +358,11 @@ class SurrogateEvaluator : public search::Evaluator
     BatchPlan countPlan_;
     double simSecondsPerEval_;
     bool rankOnly_ = false;
-    /** First rank-only batch also runs fp64 and gauges the tau. */
-    bool tauSelfChecked_ = false;
 };
 
 /**
- * Factory restoring one surrogate family from a checkpoint path.
- * Returns nullptr on corruption or mismatch.
+ * Factory restoring one surrogate family from a checkpoint body that
+ * readVerified() returned. Returns nullptr on mismatch.
  */
 using SurrogateLoader =
     std::function<std::unique_ptr<Surrogate>(const std::string &)>;
@@ -396,10 +379,11 @@ void registerSurrogateLoader(const std::string &kind,
 
 /**
  * Restore a surrogate from a checkpoint written by Surrogate::save.
- * The file's CRC footer is verified and its header kind dispatched to
- * the matching loader (HW-PR-NAS and the scalable variant are built
- * in; other families come from registerSurrogateLoader). Returns
- * nullptr when the file is corrupt or the kind unknown.
+ * The file is read and its CRC footer verified once; the verified
+ * body's header kind picks the loader that parses it (HW-PR-NAS, the
+ * scalable variant and the dominance classifier are built in; other
+ * families come from registerSurrogateLoader). Returns nullptr when
+ * the file is corrupt or the kind unknown.
  */
 std::unique_ptr<Surrogate> loadSurrogate(const std::string &path);
 

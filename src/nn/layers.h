@@ -155,9 +155,6 @@ class Mlp : public Module
 
     const MlpConfig &config() const { return cfg_; }
 
-    /** The affine layers, hidden-first (for quantize-at-freeze). */
-    const std::vector<Linear> &layers() const { return layers_; }
-
   private:
     MlpConfig cfg_;
     std::vector<Linear> layers_;

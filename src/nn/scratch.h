@@ -15,7 +15,9 @@
  * It is not thread-local: the caller owns one PredictScratch per
  * parallel chunk slot (see core::BatchPlan), so concurrent chunks
  * never contend and the buffer a given chunk sees depends only on
- * the chunk layout, never on which worker ran it.
+ * the chunk layout, never on which worker ran it. Predict and rank
+ * passes draw on it alike: both run the fp64 kernels, the rank pass
+ * over encodings gathered from its cache.
  */
 
 #ifndef HWPR_NN_SCRATCH_H
@@ -81,32 +83,9 @@ class PredictScratch
      */
     std::vector<Edge> &edges() { return edges_; }
 
-    /**
-     * Reusable int16 row buffer for the quantized rank path
-     * (QuantizedMlp::predictBatchInto): holds one layer's quantized
-     * activations at a time. Call-scoped like edges(); grown to at
-     * least @p n elements, capacity persists across reset().
-     */
-    std::vector<std::int16_t> &
-    quantRows(std::size_t n)
-    {
-        if (qrows_.size() < n)
-            qrows_.resize(n);
-        return qrows_;
-    }
-
-    /** Per-row input scales of the quantized path (call-scoped). */
-    std::vector<double> &
-    quantScales(std::size_t n)
-    {
-        if (qscales_.size() < n)
-            qscales_.resize(n);
-        return qscales_;
-    }
-
     /// @name Byte accounting (see DESIGN.md "Performance
-    /// observatory"). Matrix buffers only; the auxiliary edge/quant
-    /// vectors are an order of magnitude smaller.
+    /// observatory"). Matrix buffers only; the auxiliary edge
+    /// vector is an order of magnitude smaller.
     /// @{
     /** Bytes of buffer capacity growth over this scratch's life. */
     std::uint64_t bytesAllocated() const { return bytesAllocated_; }
@@ -132,8 +111,6 @@ class PredictScratch
     std::deque<Matrix> bufs_;
     std::size_t next_ = 0;
     std::vector<Edge> edges_;
-    std::vector<std::int16_t> qrows_;
-    std::vector<double> qscales_;
     std::uint64_t bytesAllocated_ = 0;
     std::uint64_t bytesReused_ = 0;
 };

@@ -226,7 +226,9 @@ Moea::run(const SearchDomain &domain, Evaluator &evaluator, Rng &rng,
         if (!saveMoeaCheckpoint(ckpt.dir + "/moea.ckpt", ck))
             warn("failed to write search checkpoint to ", ckpt.dir);
     };
-    writeCheckpoint();
+    // Each state is written once: a restored one is on disk already.
+    if (!ckpt.resume)
+        writeCheckpoint();
 
     // Tournament parent selection. For vector evaluators the
     // tournament compares Pareto ranks (recomputed per generation);
@@ -347,8 +349,9 @@ Moea::run(const SearchDomain &domain, Evaluator &evaluator, Rng &rng,
                          traceHypervolume(fit, evaluator.kind()));
         writeCheckpoint();
     }
-    // Final state: records a budget stop.
-    writeCheckpoint();
+    // A budget stop changes only the stop flag of the last state.
+    if (result.stats.stoppedByBudget)
+        writeCheckpoint();
 
     result.population = std::move(pop);
     result.fitness = std::move(fit);

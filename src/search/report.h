@@ -40,10 +40,7 @@ FrontReport measureFront(const SearchResult &result,
 
 /**
  * Re-evaluate the final population with @p eval, replacing
- * result.fitness in place. The rank-only search flow (HWPR_RANK_ONLY)
- * uses this to re-score its final population in full fp64 before any
- * number is reported: the int8 path only ever has to *order*
- * candidates during the run, never to produce reported values.
+ * result.fitness in place.
  */
 void rescoreFitness(SearchResult &result, Evaluator &eval);
 

@@ -23,22 +23,13 @@ namespace hwpr::serve
 namespace
 {
 
-/** Latency bucket bounds (microseconds) shared by every endpoint
- *  histogram: 100us .. 1s, roughly 2.5x steps. */
-const std::vector<double> &
-latencyBounds()
-{
-    static const std::vector<double> bounds = {
-        100.0,    250.0,    500.0,    1000.0,   2500.0,  5000.0,
-        10000.0,  25000.0,  50000.0,  100000.0, 250000.0, 1000000.0};
-    return bounds;
-}
-
+/** Per-op latency histogram on the registry's default bounds (1 us
+ *  to 60 s, 1-2-5 per decade): a hot rank takes tens of us. */
 obs::Histogram &
 latencyHistogram(const char *op)
 {
-    return obs::Registry::global().histogram(
-        std::string("serve.") + op + ".us", latencyBounds());
+    return obs::Registry::global().histogram(std::string("serve.") + op +
+                                             ".us");
 }
 
 /** Hot-path handles resolved once: predict/rank run per request, so

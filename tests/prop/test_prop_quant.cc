@@ -1,17 +1,13 @@
 /**
  * @file
- * Property tests for the quantized rank-only fast path and the
- * flattened GBDT descent (see DESIGN.md "Quantized rank path"):
+ * Property tests for the rank path and the flattened GBDT descent
+ * (see DESIGN.md "Rank path"):
  *
- *  - quantize -> dequantize round-trips within half a quantization
- *    step per weight channel / activation row;
- *  - the int8 layer's dot products equal a scalar int64 reference
- *    exactly, at full scale and past one int32 run;
  *  - rankBatch() is bit-reproducible across thread counts 1/2/4/8 and
  *    across cold/warm encoding caches for every surrogate family;
- *  - int8 rankBatch() agrees with fp64 predictBatch() at Kendall
- *    tau >= 0.98 on seeded batches from each space — rank fidelity is
- *    the whole contract of the quantized path;
+ *  - rankBatch() equals predictBatch() byte for byte for every
+ *    family on NB-201 and FBNet pools, cold and warm, at 1 and 4
+ *    threads;
  *  - Gbdt::predictBatch() (flattened SoA, branch-free descent) is
  *    bitwise identical to the per-row node-walking oracle
  *    predictRow().
@@ -19,7 +15,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <optional>
@@ -30,18 +26,16 @@
 #include "baselines/brpnas.h"
 #include "baselines/gates.h"
 #include "baselines/lut.h"
+#include "baselines/registry.h"
 #include "common/prop.h"
-#include "common/stats.h"
 #include "common/threadpool.h"
 #include "core/batch_plan.h"
+#include "core/dominance.h"
 #include "core/hwprnas.h"
 #include "core/scalable.h"
 #include "core/surrogate.h"
 #include "gbdt/gbdt.h"
 #include "nasbench/dataset.h"
-#include "nn/layers.h"
-#include "nn/quant.h"
-#include "nn/scratch.h"
 #include "prop_gens.h"
 
 using namespace hwpr;
@@ -69,7 +63,7 @@ propData()
     return data;
 }
 
-/** All five families, fitted once (same protocol as test_prop_predict). */
+/** All six families, fitted once (same protocol as test_prop_predict). */
 const std::vector<Family> &
 families()
 {
@@ -127,6 +121,16 @@ families()
             nasbench::DatasetId::Cifar10, hw::PlatformId::EdgeGpu);
         lut->fit(sd, ctx);
         out.push_back({"lut", std::move(lut)});
+
+        core::DominanceConfig dc;
+        dc.encoder = enc;
+        dc.referenceSize = 16;
+        dc.maxPairsPerEpoch = 2000;
+        auto dominance = std::make_unique<core::DominanceSurrogate>(
+            dc, nasbench::DatasetId::Cifar10, 15);
+        dominance->setFitConfig(quick);
+        dominance->fit(sd, ctx);
+        out.push_back({"dominance", std::move(dominance)});
         return out;
     }();
     return fams;
@@ -202,128 +206,6 @@ seedGen()
 
 } // namespace
 
-TEST(PropQuant, RoundTripWithinHalfStepPerChannel)
-{
-    const auto r = prop::forAll<int>(
-        prop::Config::fromEnv(0xF05ED004, 60), seedGen(),
-        [](int seed) -> std::optional<std::string> {
-            Rng rng(std::uint64_t(seed) + 1);
-            nn::MlpConfig cfg;
-            cfg.inDim = std::size_t(rng.intIn(1, 48));
-            cfg.hidden = {std::size_t(rng.intIn(1, 32))};
-            if (rng.bernoulli(0.5))
-                cfg.hidden.push_back(std::size_t(rng.intIn(1, 16)));
-            cfg.outDim = std::size_t(rng.intIn(1, 4));
-            const nn::Mlp mlp(cfg, rng);
-            const nn::QuantizedMlp qmlp(mlp);
-
-            // Weight channels: |W(k,j) - scale_j * q(j,k)| <= scale_j/2.
-            for (std::size_t l = 0; l < qmlp.layers().size(); ++l) {
-                const nn::QuantizedLinear &ql = qmlp.layers()[l];
-                const Matrix &w = mlp.layers()[l].weight();
-                for (std::size_t j = 0; j < ql.outDim(); ++j) {
-                    const double scale = double(ql.weightScales()[j]);
-                    for (std::size_t k = 0; k < ql.inDim(); ++k) {
-                        const double deq =
-                            scale *
-                            double(ql.weights()[j * ql.inDim() + k]);
-                        const double err = std::fabs(w(k, j) - deq);
-                        if (err > scale / 2 + 1e-12) {
-                            std::ostringstream msg;
-                            msg.precision(17);
-                            msg << "layer " << l << " channel " << j
-                                << " weight " << k
-                                << ": round-trip error " << err
-                                << " > half step " << scale / 2;
-                            return msg.str();
-                        }
-                    }
-                }
-            }
-
-            // Activation rows: same bound at int16 resolution.
-            std::vector<double> row(cfg.inDim);
-            for (double &v : row)
-                v = rng.normal() * std::exp(rng.normal());
-            std::vector<std::int16_t> q(row.size());
-            double scale = 0.0;
-            nn::QuantizedLinear::quantizeActRow(row.data(), row.size(),
-                                                q.data(), scale);
-            for (std::size_t k = 0; k < row.size(); ++k) {
-                const double err =
-                    std::fabs(row[k] - scale * double(q[k]));
-                if (err > scale / 2 + 1e-12) {
-                    std::ostringstream msg;
-                    msg.precision(17);
-                    msg << "activation " << k << ": round-trip error "
-                        << err << " > half step " << scale / 2;
-                    return msg.str();
-                }
-            }
-            return std::nullopt;
-        });
-    EXPECT_TRUE(r.ok) << r.message;
-}
-
-TEST(PropQuant, ForwardQuantizedSumsExactlyAtFullScale)
-{
-    // The int8 layer's dot products against a scalar int64 reference,
-    // bit for bit after the fp64 epilogue. Widths run past one 256-k
-    // int32 run (the paper's 600-wide inputs included) with every
-    // tail 0-15, and one case in four is over 4,000 wide, where eight
-    // int32 lanes summed without widening would overflow at full
-    // scale. Half the cases are at full scale: every weight +127 and
-    // every input of a row +-32767.
-    const auto r = prop::forAll<int>(
-        prop::Config::fromEnv(0xF05ED005, 80), seedGen(),
-        [](int seed) -> std::optional<std::string> {
-            Rng rng(std::uint64_t(seed) + 1);
-            const std::size_t in = rng.bernoulli(0.25)
-                                       ? std::size_t(rng.intIn(4000, 5000))
-                                       : std::size_t(rng.intIn(1, 700));
-            const std::size_t out = std::size_t(rng.intIn(1, 5));
-            const std::size_t n = std::size_t(rng.intIn(1, 4));
-            nn::Linear lin(in, out, rng);
-            const bool full = rng.bernoulli(0.5);
-            if (full)
-                lin.params()[0].valueMut().fill(1.0);
-            const nn::QuantizedLinear ql(lin);
-            std::vector<std::int16_t> xq(n * in);
-            std::vector<double> xs(n);
-            for (std::size_t row = 0; row < n; ++row) {
-                const std::int16_t sign = rng.bernoulli(0.5) ? 1 : -1;
-                for (std::size_t k = 0; k < in; ++k)
-                    xq[row * in + k] =
-                        full ? std::int16_t(sign * 32767)
-                             : std::int16_t(rng.intIn(-32767, 32767));
-                xs[row] = rng.uniform(1e-6, 1e-2);
-            }
-            Matrix got(n, out);
-            ql.forwardQuantized(xq.data(), xs.data(), n, got);
-            for (std::size_t row = 0; row < n; ++row)
-                for (std::size_t j = 0; j < out; ++j) {
-                    std::int64_t acc = 0;
-                    for (std::size_t k = 0; k < in; ++k)
-                        acc += std::int64_t(xq[row * in + k]) *
-                               std::int64_t(ql.weights()[j * in + k]);
-                    const double want =
-                        double(acc) * xs[row] *
-                            double(ql.weightScales()[j]) +
-                        ql.bias()[j];
-                    if (std::memcmp(&want, &got(row, j), sizeof want)) {
-                        std::ostringstream msg;
-                        msg.precision(17);
-                        msg << "in=" << in << " row " << row
-                            << " channel " << j << ": got " << got(row, j)
-                            << ", int64 reference " << want;
-                        return msg.str();
-                    }
-                }
-            return std::nullopt;
-        });
-    EXPECT_TRUE(r.ok) << r.message;
-}
-
 TEST(PropQuant, RankBatchDeterministicAcrossThreadsAndCaches)
 {
     const std::size_t before = ExecContext::global().threads();
@@ -360,39 +242,53 @@ TEST(PropQuant, RankBatchDeterministicAcrossThreadsAndCaches)
     EXPECT_TRUE(r.ok) << r.message;
 }
 
-TEST(PropQuant, Int8RankAgreesWithFp64PerSpace)
+TEST(PropQuant, RankBatchEqualsPredictBatchBitForBit)
 {
-    // Seeded pools per space: rank fidelity is the contract, so the
-    // tau floor is checked on NB201 and FBNet separately (the spaces
-    // stress the GCN and LSTM encoders differently).
+    // The rank pass runs the predict pass's fp64 heads over cached
+    // encodings, so its bytes must equal predictBatch's: cold (a
+    // model fresh from its checkpoint, no row cached) and warm (every
+    // row cached), at 1 and 4 threads, per space (NB-201 rows go
+    // through the GCN trunks, FBNet rows through the LSTM trunks).
     constexpr std::size_t kPool = 120;
-    constexpr double kTauFloor = 0.98;
     Rng rng(0xF05ED006);
     std::vector<nasbench::Architecture> nb201, fbnet;
     for (std::size_t i = 0; i < kPool; ++i) {
         nb201.push_back(nasbench::nasBench201().sample(rng));
         fbnet.push_back(nasbench::fbnet().sample(rng));
     }
-
+    baselines::registerBaselineLoaders();
+    const std::size_t before = ExecContext::global().threads();
     for (const Family &fam : families()) {
-        for (const auto *pool : {&nb201, &fbnet}) {
-            core::BatchPlan fp64_plan, int8_plan;
-            const Matrix &f = fam.model->predictBatch(*pool, fp64_plan);
-            const Matrix &q = fam.model->rankBatch(*pool, int8_plan);
-            ASSERT_EQ(f.rows(), q.rows()) << fam.name;
-            ASSERT_EQ(f.cols(), q.cols()) << fam.name;
-            std::vector<double> x(f.rows()), y(f.rows());
-            for (std::size_t c = 0; c < f.cols(); ++c) {
-                for (std::size_t r = 0; r < f.rows(); ++r) {
-                    x[r] = f(r, c);
-                    y[r] = q(r, c);
+        const std::string path =
+            testing::TempDir() + "prop_quant_" + fam.name + ".ckpt";
+        ASSERT_TRUE(fam.model->save(path)) << fam.name;
+        for (std::size_t threads : {1u, 4u}) {
+            ExecContext::setGlobalThreads(threads);
+            const auto fresh = core::loadSurrogate(path);
+            ASSERT_NE(fresh, nullptr) << fam.name;
+            for (const auto *pool : {&nb201, &fbnet}) {
+                SCOPED_TRACE(fam.name + " at " + std::to_string(threads) +
+                             " threads on " +
+                             (pool == &nb201 ? "nb201" : "fbnet"));
+                core::BatchPlan predict_plan, rank_plan;
+                const Matrix cold = fresh->rankBatch(*pool, rank_plan);
+                const Matrix &want =
+                    fresh->predictBatch(*pool, predict_plan);
+                const Matrix &warm = fresh->rankBatch(*pool, rank_plan);
+                for (const Matrix *got : {&cold, &warm}) {
+                    ASSERT_EQ(got->rows(), want.rows());
+                    ASSERT_EQ(got->cols(), want.cols());
+                    EXPECT_EQ(std::memcmp(got->data(), want.data(),
+                                          want.raw().size() *
+                                              sizeof(double)),
+                              0)
+                        << (got == &cold ? "cold" : "warm");
                 }
-                EXPECT_GE(kendallTau(x, y), kTauFloor)
-                    << fam.name << " column " << c << " on "
-                    << (pool == &nb201 ? "nb201" : "fbnet");
             }
         }
+        std::remove(path.c_str());
     }
+    ExecContext::setGlobalThreads(before);
 }
 
 TEST(PropQuant, GbdtFlatBatchMatchesRowOracle)

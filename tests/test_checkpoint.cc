@@ -22,6 +22,7 @@
 #include "baselines/gates.h"
 #include "baselines/lut.h"
 #include "baselines/registry.h"
+#include "common/obs.h"
 #include "common/rng.h"
 #include "common/serialize.h"
 #include "common/threadpool.h"
@@ -186,6 +187,33 @@ smallMoea(std::size_t generations)
     return cfg;
 }
 
+/** How far counter @p name rises while @p fn runs with metrics on. */
+std::uint64_t
+countDuring(const std::string &name, const std::function<void()> &fn)
+{
+    const bool was_on = obs::metricsEnabled();
+    obs::setMetricsEnabled(true);
+    const auto &reg = obs::Registry::global();
+    const std::uint64_t before = reg.counterValue(name);
+    fn();
+    const std::uint64_t rise = reg.counterValue(name) - before;
+    obs::setMetricsEnabled(was_on);
+    return rise;
+}
+
+/** core::loadSurrogate(@p path), expecting it to read and verify the
+ *  file exactly once. */
+std::unique_ptr<core::Surrogate>
+loadOnce(const std::string &path)
+{
+    std::unique_ptr<core::Surrogate> model;
+    EXPECT_EQ(countDuring("checkpoint.loads",
+                          [&] { model = core::loadSurrogate(path); }),
+              1u)
+        << path;
+    return model;
+}
+
 } // namespace
 
 // -------------------------------------------------------------------
@@ -328,7 +356,8 @@ TEST(ReadVerified, LegacyFileWithoutFooterRejected)
 }
 
 // -------------------------------------------------------------------
-// Five-surrogate save/load round trips through core::loadSurrogate
+// Six-surrogate save/load round trips through core::loadSurrogate,
+// each reading and verifying its file once
 // -------------------------------------------------------------------
 
 TEST(SurrogateCheckpoint, HwPrNasRoundTrip)
@@ -346,7 +375,7 @@ TEST(SurrogateCheckpoint, HwPrNasRoundTrip)
     const std::string path = tempPath("hwpr_ckpt_hwprnas.bin");
     ASSERT_TRUE(model.save(path));
     EXPECT_EQ(checkpointKind(path), "hwprnas");
-    const auto loaded = core::loadSurrogate(path);
+    const auto loaded = loadOnce(path);
     ASSERT_NE(loaded, nullptr);
     EXPECT_EQ(loaded->name(), "HW-PR-NAS");
     const auto archs = testArchs();
@@ -375,7 +404,7 @@ TEST(SurrogateCheckpoint, ScalableRoundTrip)
     const std::string path = tempPath("hwpr_ckpt_scalable.bin");
     ASSERT_TRUE(model.save(path));
     EXPECT_EQ(checkpointKind(path), "hwpr-scalable");
-    const auto loaded = core::loadSurrogate(path);
+    const auto loaded = loadOnce(path);
     ASSERT_NE(loaded, nullptr);
     expectObjectivesIdentical(model, *loaded, testArchs());
     std::remove(path.c_str());
@@ -393,7 +422,7 @@ TEST(SurrogateCheckpoint, BrpNasRoundTrip)
     const std::string path = tempPath("hwpr_ckpt_brpnas.bin");
     ASSERT_TRUE(model.save(path));
     EXPECT_EQ(checkpointKind(path), "brpnas");
-    const auto loaded = core::loadSurrogate(path);
+    const auto loaded = loadOnce(path);
     ASSERT_NE(loaded, nullptr);
     EXPECT_EQ(loaded->name(), "BRP-NAS");
     expectObjectivesIdentical(model, *loaded, testArchs());
@@ -412,7 +441,7 @@ TEST(SurrogateCheckpoint, GatesRoundTrip)
     const std::string path = tempPath("hwpr_ckpt_gates.bin");
     ASSERT_TRUE(model.save(path));
     EXPECT_EQ(checkpointKind(path), "gates");
-    const auto loaded = core::loadSurrogate(path);
+    const auto loaded = loadOnce(path);
     ASSERT_NE(loaded, nullptr);
     EXPECT_EQ(loaded->name(), "GATES");
     expectObjectivesIdentical(model, *loaded, testArchs());
@@ -431,9 +460,31 @@ TEST(SurrogateCheckpoint, LutRoundTrip)
     const std::string path = tempPath("hwpr_ckpt_lut.bin");
     ASSERT_TRUE(model.save(path));
     EXPECT_EQ(checkpointKind(path), "lut");
-    const auto loaded = core::loadSurrogate(path);
+    const auto loaded = loadOnce(path);
     ASSERT_NE(loaded, nullptr);
     EXPECT_EQ(loaded->name(), "LUT");
+    expectObjectivesIdentical(model, *loaded, testArchs());
+    std::remove(path.c_str());
+}
+
+TEST(SurrogateCheckpoint, DominanceRoundTrip)
+{
+    core::DominanceConfig dc;
+    dc.encoder = tinyEncoder();
+    dc.referenceSize = 16;
+    dc.maxPairsPerEpoch = 2000;
+    core::DominanceSurrogate model(dc, nasbench::DatasetId::Cifar10, 5);
+    core::TrainConfig tc;
+    tc.epochs = 2;
+    model.setFitConfig(tc);
+    ExecContext ctx = ExecContext::global().withSeed(13);
+    model.fit(tinySurrogateData(), ctx);
+
+    const std::string path = tempPath("hwpr_ckpt_dominance.bin");
+    ASSERT_TRUE(model.save(path));
+    EXPECT_EQ(checkpointKind(path), "dominance");
+    const auto loaded = loadOnce(path);
+    ASSERT_NE(loaded, nullptr);
     expectObjectivesIdentical(model, *loaded, testArchs());
     std::remove(path.c_str());
 }
@@ -1014,6 +1065,41 @@ TEST(MoeaResume, CompletedRunResumesToSameResult)
     ASSERT_EQ(again.population.size(), full.population.size());
     for (std::size_t i = 0; i < again.population.size(); ++i)
         EXPECT_TRUE(again.population[i] == full.population[i]);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(MoeaResume, WritesEachStateOnce)
+{
+    // One save per state: the initial population and each generation.
+    // A resume does not rewrite the state it restored, and a run the
+    // generation cap ends does not rewrite its last state.
+    const search::SearchDomain domain =
+        search::SearchDomain::unionBenchmarks();
+    const std::string dir = tempPath("hwpr_moea_write_once");
+    std::filesystem::create_directories(dir);
+    search::CheckpointOptions ckpt;
+    ckpt.dir = dir;
+    EXPECT_EQ(countDuring("checkpoint.saves",
+                          [&] {
+                              HashEvaluator eval;
+                              Rng rng(5);
+                              search::Moea(smallMoea(5))
+                                  .run(domain, eval, rng, ckpt);
+                          }),
+              6u);
+
+    search::MoeaCheckpoint resume;
+    ASSERT_TRUE(
+        search::loadMoeaCheckpoint(dir + "/moea.ckpt", resume));
+    ckpt.resume = &resume;
+    EXPECT_EQ(countDuring("checkpoint.saves",
+                          [&] {
+                              HashEvaluator eval;
+                              Rng rng(5);
+                              search::Moea(smallMoea(6))
+                                  .run(domain, eval, rng, ckpt);
+                          }),
+              1u);
     std::filesystem::remove_all(dir);
 }
 

@@ -380,6 +380,27 @@ TEST(ServeServer, PredictAndRankMatchDirectBatchCalls)
     EXPECT_TRUE(none.find("predictions")->asArray().empty());
 }
 
+TEST(ServeServer, LatencyHistogramsUseTheDefaultBounds)
+{
+    // A hot rank takes tens of microseconds, so the serve histograms
+    // keep the registry's 1 us - 60 s buckets rather than a coarser
+    // set of their own.
+    baselines::LatencyLut model(nasbench::DatasetId::Cifar10,
+                                hw::PlatformId::EdgeGpu);
+    LiveServer live(model, serve::ServerConfig{});
+    Client client(live.port());
+    ASSERT_TRUE(client.connected());
+    const json::Value ranked = client.roundTrip(
+        "{\"op\": \"rank\", \"archs\": [" +
+        archJson(sampleArch(nasbench::SpaceId::NasBench201)) + "]}");
+    ASSERT_NE(ranked.find("predictions"), nullptr);
+    auto &reg = obs::Registry::global();
+    const obs::Histogram *rank = reg.findHistogram("serve.rank.us");
+    ASSERT_NE(rank, nullptr);
+    EXPECT_EQ(rank->bounds(),
+              reg.histogram("test.serve.default_bounds").bounds());
+}
+
 TEST(ServeServer, MalformedRequestsGetErrorsNotDisconnects)
 {
     baselines::LatencyLut model(nasbench::DatasetId::Cifar10,

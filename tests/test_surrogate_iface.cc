@@ -696,12 +696,12 @@ TEST(SurrogateIfaceDeathTest, UntrainedPredictionFailsWithOneMessage)
     }
 }
 
-TEST(SurrogateIface, ConcurrentRankFreezeMatchesSerial)
+TEST(SurrogateIface, ConcurrentFirstRankBatchesMatchSerial)
 {
-    // rankBatch() is const and freezes its quantized state lazily;
-    // concurrent first calls race that freeze. Each family is fresh
-    // from fitting, four threads rank at once, and every result must
-    // equal a later serial call bit for bit.
+    // rankBatch() is const and fills its encoding caches as it goes;
+    // concurrent first calls race to publish the same rows. Each
+    // family is fresh from fitting, four threads rank at once, and
+    // every result must equal a later serial call bit for bit.
     core::TrainConfig quick = quickFit();
     quick.epochs = 2;
     quick.combinerEpochs = 1;
@@ -765,13 +765,13 @@ TEST(SurrogateIface, ConcurrentRankFreezeMatchesSerial)
     }
 }
 
-TEST(SurrogateIface, RetrainingDropsFrozenRankState)
+TEST(SurrogateIface, RetrainingClearsTheRankCaches)
 {
-    // rankBatch() freezes int8 heads and encoding caches over the
-    // weights it finds, and every training call must drop them. Each
-    // model is fitted, ranked (which freezes), trained again and
-    // ranked again: the result must equal, bit for bit, a twin trained
-    // the same way that never ranked in between.
+    // rankBatch() caches encodings under the trunk weights it finds,
+    // and every training call must clear them. Each model is fitted,
+    // ranked (which fills the caches), trained again and ranked
+    // again: the result must equal, bit for bit, a twin trained the
+    // same way that never ranked in between.
     core::TrainConfig quick = quickFit();
     quick.epochs = 2;
     quick.combinerEpochs = 1;
@@ -910,10 +910,8 @@ TEST(SurrogateIface, EvaluatorMatchesBatchMethods)
 
 TEST(SurrogateIface, EvaluatorIgnoresRankOnlyEnvironment)
 {
-    // Only `hwpr search` reads HWPR_RANK_ONLY, and it re-scores its
-    // final population in fp64. Every other evaluator scores in fp64
-    // until setRankOnly() says otherwise, so no caller reports an
-    // int8 number by accident.
+    // Only `hwpr search` reads HWPR_RANK_ONLY. Every other evaluator
+    // scores through predictBatch until setRankOnly() says otherwise.
     baselines::LatencyLut lut(nasbench::DatasetId::Cifar10,
                               hw::PlatformId::EdgeGpu);
     ASSERT_EQ(setenv("HWPR_RANK_ONLY", "1", 1), 0);

@@ -70,11 +70,9 @@ subcommands:
                                   the same model, config and seed the
                                   result is bit-identical to an
                                   uninterrupted run
-           HWPR_RANK_ONLY=1       score generations through the int8
-                                  rank-only fast path; the final
-                                  population is re-scored in fp64 and
-                                  the reported front is always
-                                  oracle-measured
+           HWPR_RANK_ONLY=1       score generations through the
+                                  encoding cache (rankBatch): the
+                                  same scores, so the same output
 global options:
   --threads N   size of the shared execution thread pool (default:
                 HWPR_THREADS env var, else hardware concurrency).
@@ -320,8 +318,7 @@ cmdSearch(const Args &args)
                      std::string_view(rank_only) != "0");
     if (eval.rankOnly())
         std::cout << "rank-only mode (HWPR_RANK_ONLY): generations "
-                     "scored through the int8 fast path; final "
-                     "population re-scored in fp64"
+                     "scored through the encoding cache"
                   << std::endl;
     search::MoeaConfig mc;
     mc.populationSize = std::size_t(args.getInt("pop", 60));
@@ -351,20 +348,9 @@ cmdSearch(const Args &args)
         search::SearchDomain::unionBenchmarks(), eval, rng, ckpt);
     const double wall_sec = (obs::nowMicros() - t0) * 1e-6;
 
-    if (eval.rankOnly()) {
-        // Reported numbers never come from the int8 path: re-score
-        // the final population in full fp64 (the front below is
-        // oracle-measured either way).
-        core::SurrogateEvaluator fp64_eval(*model);
-        search::rescoreFitness(result, fp64_eval);
-    }
-
-    // Fitness-space summary. After the re-score above these numbers
-    // are fp64 in either mode, and for a scalar ParetoScore evaluator
-    // the fitness-space Pareto front degenerates to the best score —
-    // the stable quantity the rank-only parity gate in CI compares.
-    // (Oracle-measured fronts of one 60-arch population are far too
-    // seed-sensitive for a tight numeric gate; see DESIGN.md.)
+    // Fitness-space summary: fp64 in either mode, since rankBatch
+    // returns predictBatch's bits. For a scalar ParetoScore evaluator
+    // the fitness-space Pareto front degenerates to the best score.
     double best_score = 0.0, mean_score = 0.0;
     if (!result.fitness.empty() && result.fitness[0].size() == 1) {
         double best = result.fitness[0][0];
