@@ -123,9 +123,7 @@ struct MoeaConfig
      * fitness, then index. Requires an evaluator whose
      * hasPredictedDominance() is true; otherwise the flag is ignored
      * and the fitness-based rule applies. Tournament parent selection
-     * and checkpointed fitness stay score-based either way, and any
-     * *reported* front must still be re-scored in fp64
-     * (search::rescoreFitness).
+     * and checkpointed fitness stay score-based either way.
      */
     bool dominanceSelection = false;
 };
